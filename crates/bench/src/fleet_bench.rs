@@ -676,8 +676,8 @@ pub fn run_resolution_comparison(devices: usize, acquisitions: u64) -> Vec<Resol
     let devices = devices.max(1);
 
     // Baseline: every acquisition pays what the pre-redesign accessors
-    // paid on a cold registry — runtime assembly (private catalog copy
-    // included) plus full proxy-stack construction.
+    // paid on a cold registry — runtime assembly plus full proxy-stack
+    // construction.
     let contexts: Vec<_> = (0..devices)
         .map(|i| {
             AndroidPlatform::new(Device::builder().seed(i as u64).build(), SdkVersion::M5Rc15)

@@ -4,10 +4,12 @@ use std::sync::Arc;
 
 use mobivine_android::context::Context;
 use mobivine_device::call::{CallId, CallState};
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{CallProxy, ProxyBase};
 use crate::error::ProxyError;
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::CallProgress;
 
 /// The Android binding of the uniform [`CallProxy`] — implemented over
@@ -27,12 +29,8 @@ impl AndroidCallProxy {
     /// Creates an unconfigured proxy; set the `context` property before
     /// calling.
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::call()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android call binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(ProxyKind::Call, PlatformId::Android)),
         }
     }
 

@@ -5,10 +5,12 @@ use std::sync::Arc;
 use mobivine_android::context::Context;
 use mobivine_android::http::HttpUriRequest;
 use mobivine_device::net::Method;
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{HttpProxy, ProxyBase};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::HttpResult;
 
 /// The Android binding of the uniform [`HttpProxy`] — over the
@@ -27,12 +29,8 @@ impl AndroidHttpProxy {
     /// Creates an unconfigured proxy; set the `context` property before
     /// requesting.
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::http()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android http binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(ProxyKind::Http, PlatformId::Android)),
         }
     }
 

@@ -9,10 +9,12 @@ use mobivine_android::context::Context;
 use mobivine_android::intent::{Intent, IntentFilter, IntentReceiver};
 use mobivine_android::location::{Registration, KEY_PROXIMITY_ENTERING};
 use mobivine_android::pending_intent::PendingIntent;
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{LocationProxy, ProxyBase};
 use crate::error::ProxyError;
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::{Location, ProximityEvent, SharedProximityListener};
 
 /// Base action string for the intents the proxy creates internally —
@@ -47,12 +49,11 @@ impl AndroidLocationProxy {
     /// invoking any interface (Fig. 8(a):
     /// `loc.setProperty("context", this)`).
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::location()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android location binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(
+                ProxyKind::Location,
+                PlatformId::Android,
+            )),
             alerts: Mutex::new(Vec::new()),
         }
     }

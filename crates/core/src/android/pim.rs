@@ -5,10 +5,12 @@ use std::sync::Arc;
 
 use mobivine_android::context::Context;
 use mobivine_android::permissions::Permission;
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{CalendarProxy, ContactsProxy, ProxyBase};
 use crate::error::ProxyError;
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::{CalendarRecord, ContactRecord};
 
 /// The Android binding of the uniform [`ContactsProxy`].
@@ -25,12 +27,11 @@ impl Default for AndroidContactsProxy {
 impl AndroidContactsProxy {
     /// Creates an unconfigured proxy; set the `context` property first.
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::contacts()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android contacts binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(
+                ProxyKind::Contacts,
+                PlatformId::Android,
+            )),
         }
     }
 
@@ -76,12 +77,11 @@ impl Default for AndroidCalendarProxy {
 impl AndroidCalendarProxy {
     /// Creates an unconfigured proxy; set the `context` property first.
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::calendar()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android calendar binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(
+                ProxyKind::Calendar,
+                PlatformId::Android,
+            )),
         }
     }
 

@@ -4,10 +4,12 @@ use std::sync::Arc;
 
 use mobivine_android::context::Context;
 use mobivine_android::telephony::SmsResult;
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{ProxyBase, SmsProxy};
 use crate::error::ProxyError;
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::{DeliveryListener, DeliveryOutcome};
 
 /// The Android binding of the uniform [`SmsProxy`]
@@ -26,12 +28,8 @@ impl AndroidSmsProxy {
     /// Creates an unconfigured proxy; set the `context` property before
     /// sending.
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::sms()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android sms binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(ProxyKind::Sms, PlatformId::Android)),
         }
     }
 

@@ -15,9 +15,10 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use mobivine_proxydl::PlatformBinding;
+use mobivine_proxydl::{PlatformBinding, PlatformId};
 
 use crate::error::{ProxyError, ProxyErrorKind};
+use crate::registry::ProxyKind;
 
 /// A value assignable to a proxy property.
 #[derive(Clone)]
@@ -99,9 +100,23 @@ impl fmt::Debug for PropertyValue {
     }
 }
 
-/// A descriptor-validated property store, one per proxy instance.
+/// The binding plane the standard catalog declares for `kind` on
+/// `platform`, shared process-wide: every proxy of one interface on one
+/// platform validates against the same allocation.
+///
+/// # Panics
+///
+/// If the catalog declares no such binding — only a platform proxy the
+/// catalog does not describe would ask.
+pub(crate) fn standard_binding(kind: ProxyKind, platform: PlatformId) -> Arc<PlatformBinding> {
+    mobivine_proxydl::catalog::shared_binding(kind.interface(), &platform)
+        .unwrap_or_else(|| panic!("the standard catalog declares no {kind} binding on {platform}"))
+}
+
+/// A descriptor-validated property store, one per proxy instance. The
+/// binding plane is shared (read-only); the set values are the bag's own.
 pub struct PropertyBag {
-    binding: PlatformBinding,
+    binding: Arc<PlatformBinding>,
     values: RwLock<HashMap<String, PropertyValue>>,
 }
 
@@ -117,15 +132,15 @@ impl fmt::Debug for PropertyBag {
 impl PropertyBag {
     /// Creates a bag validating against `binding` (the proxy's
     /// binding-plane descriptor for the running platform).
-    pub fn new(binding: PlatformBinding) -> Self {
+    pub fn new(binding: impl Into<Arc<PlatformBinding>>) -> Self {
         Self {
-            binding,
+            binding: binding.into(),
             values: RwLock::new(HashMap::new()),
         }
     }
 
     /// The binding plane this bag validates against.
-    pub fn binding(&self) -> &PlatformBinding {
+    pub fn binding(&self) -> &Arc<PlatformBinding> {
         &self.binding
     }
 

@@ -338,7 +338,7 @@ impl Mobivine {
     fn with_target(target: Target) -> Self {
         Self {
             target,
-            catalog: Arc::new(mobivine_proxydl::catalog::standard_catalog()),
+            catalog: mobivine_proxydl::catalog::shared_catalog(),
             resilience: None,
             overload: None,
             cache: None,
@@ -676,7 +676,8 @@ impl Mobivine {
     /// acquisition is a lock-free read returning a clone of the same
     /// `Arc`. This is the hot-path acquisition primitive fleet-scale
     /// workloads lean on: acquisition cost collapses from per-call
-    /// construction to one atomic load.
+    /// construction to one `OnceLock` load plus an `Arc` refcount
+    /// increment.
     ///
     /// # Errors
     ///
@@ -1084,9 +1085,11 @@ impl MobivineBuilder {
         self
     }
 
-    /// Uses a shared descriptor catalog instead of a private copy of
-    /// the standard one. Fleet shards pass one `Arc` to every runtime
-    /// they own, so a 10k-device shard holds one catalog, not 10k.
+    /// Uses `catalog` instead of the process-wide standard one
+    /// ([`mobivine_proxydl::catalog::shared_catalog`], the default).
+    /// Fleet shards pass their own `Arc` to every runtime they own, so
+    /// each shard's runtimes answer [`Mobivine::supports`] from one
+    /// allocation.
     #[must_use]
     pub fn catalog(mut self, catalog: Arc<Vec<ProxyDescriptor>>) -> Self {
         self.catalog = Some(catalog);

@@ -4,12 +4,14 @@
 //! configure, lazy transmit, stream reads) behind the uniform one-call
 //! `request`.
 
+use mobivine_proxydl::PlatformId;
 use mobivine_s60::io::Connector;
 use mobivine_s60::S60Platform;
 
 use crate::api::{HttpProxy, ProxyBase};
 use crate::error::ProxyError;
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::HttpResult;
 
 /// The S60 binding of the uniform [`HttpProxy`]
@@ -22,13 +24,9 @@ pub struct S60HttpProxy {
 impl S60HttpProxy {
     /// Creates a proxy bound to `platform`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::http()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 http binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(ProxyKind::Http, PlatformId::NokiaS60)),
         }
     }
 }

@@ -32,10 +32,12 @@ use mobivine_s60::location::{
 use mobivine_s60::S60Platform;
 
 use mobivine_device::power::PowerLevel;
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{LocationProxy, ProxyBase};
 use crate::error::ProxyError;
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::{Location, ProximityEvent, SharedProximityListener};
 
 /// The S60 binding of the uniform [`LocationProxy`]
@@ -72,13 +74,12 @@ impl S60LocationProxy {
     /// Creates a proxy bound to `platform`. Platform-specific criteria
     /// (accuracy, response time, power) arrive via `setProperty`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::location()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 location binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(
+                ProxyKind::Location,
+                PlatformId::NokiaS60,
+            )),
             alerts: Mutex::new(Vec::new()),
             provider_cache: Mutex::new(None),
         }
@@ -368,6 +369,27 @@ mod tests {
             .build();
         device.gps().set_noise_enabled(false);
         S60Platform::new(device)
+    }
+
+    #[test]
+    fn proxies_share_the_binding_plane_but_not_property_values() {
+        let platform = S60Platform::new(Device::builder().build());
+        let a = S60LocationProxy::new(platform.clone());
+        let b = S60LocationProxy::new(platform);
+        assert!(Arc::ptr_eq(a.properties.binding(), b.properties.binding()));
+        a.set_property("powerConsumption", PropertyValue::str("Low"))
+            .unwrap();
+        assert_eq!(
+            a.properties.get_str("powerConsumption").as_deref(),
+            Some("Low")
+        );
+        assert_eq!(
+            b.properties.get_str("powerConsumption").as_deref(),
+            Some("NoRequirement")
+        );
+        // The same interface on another platform has a plane of its own.
+        let android = standard_binding(ProxyKind::Location, PlatformId::Android);
+        assert!(!Arc::ptr_eq(a.properties.binding(), &android));
     }
 
     fn collect_events() -> (SharedProximityListener, Arc<StdMutex<Vec<bool>>>) {

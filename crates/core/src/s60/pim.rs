@@ -1,12 +1,14 @@
 //! S60 PIM proxy bindings (Contacts, Calendar) — extension features for
 //! the paper's future-work interfaces (§7).
 
+use mobivine_proxydl::PlatformId;
 use mobivine_s60::permissions::ApiPermission;
 use mobivine_s60::S60Platform;
 
 use crate::api::{CalendarProxy, ContactsProxy, ProxyBase};
 use crate::error::ProxyError;
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::{CalendarRecord, ContactRecord};
 
 /// The S60 binding of the uniform [`ContactsProxy`].
@@ -18,13 +20,12 @@ pub struct S60ContactsProxy {
 impl S60ContactsProxy {
     /// Creates a proxy bound to `platform`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::contacts()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 contacts binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(
+                ProxyKind::Contacts,
+                PlatformId::NokiaS60,
+            )),
         }
     }
 }
@@ -61,13 +62,12 @@ pub struct S60CalendarProxy {
 impl S60CalendarProxy {
     /// Creates a proxy bound to `platform`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::calendar()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 calendar binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(
+                ProxyKind::Calendar,
+                PlatformId::NokiaS60,
+            )),
         }
     }
 }

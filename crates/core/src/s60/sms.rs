@@ -6,12 +6,14 @@
 
 use std::sync::Arc;
 
+use mobivine_proxydl::PlatformId;
 use mobivine_s60::messaging::{MessageConnection, MessageType};
 use mobivine_s60::S60Platform;
 
 use crate::api::{ProxyBase, SmsProxy};
 use crate::error::ProxyError;
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::{DeliveryListener, DeliveryOutcome};
 
 /// The S60 binding of the uniform [`SmsProxy`]
@@ -24,13 +26,9 @@ pub struct S60SmsProxy {
 impl S60SmsProxy {
     /// Creates a proxy bound to `platform`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::sms()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 sms binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::new(standard_binding(ProxyKind::Sms, PlatformId::NokiaS60)),
         }
     }
 }

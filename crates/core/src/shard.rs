@@ -2,14 +2,16 @@
 //!
 //! One [`crate::registry::Mobivine`] runtime serves one application on
 //! one device. A fleet of tens of thousands of simulated devices needs
-//! the same uniform surface without paying per-device overhead twice
-//! over: a private descriptor-catalog allocation per runtime, and
-//! per-call proxy construction on every acquisition.
+//! the same uniform surface without per-call proxy construction on
+//! every acquisition.
 //!
-//! [`ShardedRegistry`] fixes both. Runtimes are partitioned round-robin
-//! into a fixed number of **shards**; every runtime in a shard shares
-//! one `Arc`'d descriptor catalog (a 10k-device shard holds one catalog,
-//! not 10k), and each runtime's resolution is memoized (see
+//! [`ShardedRegistry`] partitions runtimes round-robin into a fixed
+//! number of **shards**. Every runtime in a shard shares the shard's
+//! `Arc`'d descriptor catalog (a standalone runtime shares the
+//! process-wide [`mobivine_proxydl::catalog::shared_catalog`] instead),
+//! and every proxy shares its binding plane with all proxies of the
+//! same interface and platform, so no runtime or proxy holds a private
+//! descriptor copy. Each runtime's resolution is memoized (see
 //! [`crate::registry::Mobivine::proxy`]), so steady-state acquisition
 //! across the whole fleet is a lock-free read per device. Shards are
 //! also the unit of worker ownership upstream: the fleet engine assigns
@@ -151,7 +153,8 @@ impl ShardedRegistry {
 
     /// Routes `device_index` to its runtime and resolves the proxy for
     /// capability `P` — the fleet hot path. After [`ShardedRegistry::warm`]
-    /// this is one bounds-check plus one atomic load per acquisition.
+    /// this is a bounds-check, one `OnceLock` load and an `Arc` refcount
+    /// increment per acquisition.
     ///
     /// # Errors
     ///

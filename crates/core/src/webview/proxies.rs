@@ -14,6 +14,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mobivine_device::Device;
+use mobivine_proxydl::{PlatformBinding, PlatformId};
 use mobivine_telemetry::span::ambient;
 use mobivine_telemetry::TraceparentBuf;
 use mobivine_webview::bridge::BridgeError;
@@ -24,7 +25,8 @@ use mobivine_webview::{JsValue, WebView};
 
 use crate::api::{CallProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::{PropertyBag, PropertyValue};
+use crate::property::{standard_binding, PropertyBag, PropertyValue};
+use crate::registry::ProxyKind;
 use crate::types::{
     CallProgress, DeliveryListener, DeliveryOutcome, HttpResult, Location, SharedProximityListener,
 };
@@ -69,7 +71,7 @@ impl JsProxyCore {
     fn new(
         webview: &WebView,
         name: &str,
-        binding: mobivine_proxydl::PlatformBinding,
+        binding: Arc<PlatformBinding>,
     ) -> Result<Self, ProxyError> {
         Ok(Self {
             handle: wrapper_handle(webview, name)?,
@@ -194,12 +196,12 @@ impl WebViewLocationProxy {
     /// Returns `Unavailable` if [`crate::webview::install_wrappers`] has
     /// not run on this page.
     pub fn new(webview: &WebView) -> Result<Self, ProxyError> {
-        let binding = mobivine_proxydl::catalog::location()
-            .binding_for(&mobivine_proxydl::PlatformId::AndroidWebView)
-            .expect("catalog declares a WebView location binding")
-            .clone();
         Ok(Self {
-            core: JsProxyCore::new(webview, interface_names::LOCATION, binding)?,
+            core: JsProxyCore::new(
+                webview,
+                interface_names::LOCATION,
+                standard_binding(ProxyKind::Location, PlatformId::AndroidWebView),
+            )?,
             registrations: Mutex::new(HashMap::new()),
             batched: AtomicBool::new(false),
         })
@@ -352,12 +354,12 @@ impl WebViewSmsProxy {
     ///
     /// Returns `Unavailable` if wrappers are not installed.
     pub fn new(webview: &WebView) -> Result<Self, ProxyError> {
-        let binding = mobivine_proxydl::catalog::sms()
-            .binding_for(&mobivine_proxydl::PlatformId::AndroidWebView)
-            .expect("catalog declares a WebView sms binding")
-            .clone();
         Ok(Self {
-            core: JsProxyCore::new(webview, interface_names::SMS, binding)?,
+            core: JsProxyCore::new(
+                webview,
+                interface_names::SMS,
+                standard_binding(ProxyKind::Sms, PlatformId::AndroidWebView),
+            )?,
             handlers: Mutex::new(Vec::new()),
         })
     }
@@ -445,12 +447,12 @@ impl WebViewCallProxy {
     ///
     /// Returns `Unavailable` if wrappers are not installed.
     pub fn new(webview: &WebView) -> Result<Self, ProxyError> {
-        let binding = mobivine_proxydl::catalog::call()
-            .binding_for(&mobivine_proxydl::PlatformId::AndroidWebView)
-            .expect("catalog declares a WebView call binding")
-            .clone();
         Ok(Self {
-            core: JsProxyCore::new(webview, interface_names::CALL, binding)?,
+            core: JsProxyCore::new(
+                webview,
+                interface_names::CALL,
+                standard_binding(ProxyKind::Call, PlatformId::AndroidWebView),
+            )?,
         })
     }
 }
@@ -501,12 +503,12 @@ impl WebViewHttpProxy {
     ///
     /// Returns `Unavailable` if wrappers are not installed.
     pub fn new(webview: &WebView) -> Result<Self, ProxyError> {
-        let binding = mobivine_proxydl::catalog::http()
-            .binding_for(&mobivine_proxydl::PlatformId::AndroidWebView)
-            .expect("catalog declares a WebView http binding")
-            .clone();
         Ok(Self {
-            core: JsProxyCore::new(webview, interface_names::HTTP, binding)?,
+            core: JsProxyCore::new(
+                webview,
+                interface_names::HTTP,
+                standard_binding(ProxyKind::Http, PlatformId::AndroidWebView),
+            )?,
         })
     }
 }
@@ -577,6 +579,19 @@ mod tests {
             .build();
         device.gps().set_noise_enabled(false);
         device
+    }
+
+    #[test]
+    fn proxies_share_the_binding_plane_but_not_property_values() {
+        let (_platform, webview) = page(moving_device());
+        let a = WebViewLocationProxy::new(&webview).unwrap();
+        let b = WebViewLocationProxy::new(&webview).unwrap();
+        let (pa, pb) = (&a.core.properties, &b.core.properties);
+        assert!(Arc::ptr_eq(pa.binding(), pb.binding()));
+        a.set_property("pollInterval", PropertyValue::Int(50))
+            .unwrap();
+        assert_eq!(a.core.poll_interval_ms(), 50);
+        assert_eq!(b.core.poll_interval_ms(), 200, "the descriptor default");
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! Two more descriptors — Contacts and Calendar — cover the paper's
 //! future-work interfaces (§7), which this reproduction implements as
 //! extension features.
+//!
+//! Each constructor builds an owned descriptor a caller may edit.
+//! [`shared_catalog`] and [`shared_binding`] hand out the same
+//! descriptors built once per process, for callers that only read them.
+
+use std::sync::{Arc, LazyLock};
 
 use crate::binding::{PlatformBinding, PlatformId, PropertySpec};
 use crate::descriptor::ProxyDescriptor;
@@ -549,6 +555,49 @@ pub fn standard_catalog() -> Vec<ProxyDescriptor> {
     vec![location(), sms(), call(), http(), contacts(), calendar()]
 }
 
+/// The standard catalog as built once per process, with every binding
+/// plane split out behind its own `Arc` keyed by interface name.
+struct SharedCatalog {
+    descriptors: Arc<Vec<ProxyDescriptor>>,
+    bindings: Vec<(String, Arc<PlatformBinding>)>,
+}
+
+static SHARED: LazyLock<SharedCatalog> = LazyLock::new(|| {
+    let descriptors = standard_catalog();
+    let bindings = descriptors
+        .iter()
+        .flat_map(|d| {
+            d.bindings
+                .iter()
+                .map(|b| (d.name.clone(), Arc::new(b.clone())))
+        })
+        .collect();
+    SharedCatalog {
+        descriptors: Arc::new(descriptors),
+        bindings,
+    }
+});
+
+/// The standard catalog, built on first use and shared by every caller
+/// in the process. The descriptors are published and never edited;
+/// callers that edit descriptors (the plug-in, platform extension)
+/// start from [`standard_catalog`] or the per-interface constructors.
+pub fn shared_catalog() -> Arc<Vec<ProxyDescriptor>> {
+    Arc::clone(&SHARED.descriptors)
+}
+
+/// The binding plane of `interface` (descriptor name, e.g. `"SMS"`) on
+/// `platform` from the [`shared_catalog`]. Every call for the same pair
+/// returns the same allocation, so a proxy holds the plane for the cost
+/// of a reference count.
+pub fn shared_binding(interface: &str, platform: &PlatformId) -> Option<Arc<PlatformBinding>> {
+    SHARED
+        .bindings
+        .iter()
+        .find(|(name, b)| name == interface && b.platform == *platform)
+        .map(|(_, b)| Arc::clone(b))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,6 +622,41 @@ mod tests {
             let back = ProxyDescriptor::parse(&text).unwrap();
             assert_eq!(back, descriptor, "descriptor {}", descriptor.name);
         }
+    }
+
+    #[test]
+    fn shared_catalog_equals_the_owned_one() {
+        assert_eq!(*shared_catalog(), standard_catalog());
+        assert!(Arc::ptr_eq(&shared_catalog(), &shared_catalog()));
+    }
+
+    #[test]
+    fn every_shared_binding_equals_its_owned_counterpart() {
+        let platforms = [
+            PlatformId::Android,
+            PlatformId::NokiaS60,
+            PlatformId::AndroidWebView,
+        ];
+        let mut pairs = 0;
+        for owned in [location(), sms(), call(), http(), contacts(), calendar()] {
+            let interface = owned.name.as_str();
+            for platform in &platforms {
+                let shared = shared_binding(interface, platform);
+                assert_eq!(
+                    shared.as_deref(),
+                    owned.binding_for(platform),
+                    "{interface} on {platform}"
+                );
+                if let Some(shared) = shared {
+                    let again = shared_binding(interface, platform).unwrap();
+                    assert!(Arc::ptr_eq(&shared, &again), "{interface} on {platform}");
+                    pairs += 1;
+                }
+            }
+        }
+        // Location/SMS/Http on all three, Call off S60, PIM off WebView.
+        assert_eq!(pairs, 15);
+        assert!(shared_binding("Telepathy", &PlatformId::Android).is_none());
     }
 
     #[test]

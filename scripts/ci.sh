@@ -4,7 +4,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# --workspace: a bare `cargo test` at the root runs only the root
+# package's integration tests, not the crates' own unit tests.
+cargo test --workspace -q
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -86,9 +88,10 @@ rm -f "$crash_digest"
 
 # SLO route smoke: a struggling traced runtime must serve a parsing
 # GET /slo report (validated against mobivine.slo.v1) and a /health
-# document — tests/flight_recorder.rs and the apps::server suite cover
-# this in `cargo test` above; re-assert here that the suites exist so a
-# deleted test cannot silently drop the gate.
+# document — tests/flight_recorder.rs and the apps::server unit suite
+# (slo_route_serves_a_valid_burn_rate_report) cover this in
+# `cargo test --workspace` above; re-assert here that the suites exist
+# so a deleted test cannot silently drop the gate.
 for gate in tests/flight_recorder.rs crates/apps/src/server.rs; do
     if [ ! -f "$gate" ]; then
         echo "error: SLO/incident gate file missing: $gate" >&2
@@ -193,9 +196,9 @@ fi
 # The zero-alloc telemetry test must still gate at exactly 0 heap
 # allocations on the warmed traced path — with the flight recorder on,
 # and since the wire arenas landed the WebView bridge crossing is held
-# to the same bar as the native platforms. `cargo test` above runs it;
-# this guard pins the assertions themselves so a relaxed bound (e.g.
-# `<= 2`) cannot slip through review.
+# to the same bar as the native platforms. `cargo test --workspace`
+# above runs it; this guard pins the assertions themselves so a relaxed
+# bound (e.g. `<= 2`) cannot slip through review.
 if [ "$(grep -Ec '^\s*(android|s60|webview)_allocs, 0,' tests/zero_alloc_telemetry.rs)" -ne 3 ]; then
     echo "error: tests/zero_alloc_telemetry.rs no longer pins the warmed" >&2
     echo "traced android+s60+webview paths at exactly 0 allocations" >&2
