@@ -6,9 +6,9 @@
 //! WebView binding, a JavaScript bridge crossing on top. Yet those reads
 //! are idempotent over short windows: the GPS engine interpolates the
 //! same fix for the same instant, the contact store only changes when
-//! something writes to it. This module puts a `Cached` decorator between
-//! the overload and proxy-plane traced layers
-//! (`Resilient → Overload → Cached → Traced`) providing:
+//! something writes to it. This module is the stack's `Cached` stage,
+//! between the proxy-plane traced stage and the overload gate
+//! (`Traced(Proxy) → Cached → Overload → …`), providing:
 //!
 //! * a **read-through cache** — results are stored under a per-proxy
 //!   TTL measured on the simulated clock, so expiry replays
@@ -22,13 +22,13 @@
 //!   is recorded at fill time and compared on every read: the device's
 //!   fault epoch (bumped by every
 //!   [`FaultPlan`](mobivine_device::fault::FaultPlan) transition), the
-//!   resilience circuit breaker's transition epoch, and a per-decorator
+//!   resilience circuit breaker's transition epoch, and a per-stack
 //!   generation bumped by `setProperty`. Any mismatch discards the
 //!   entry before it can be served, so a stale read never survives a
 //!   mutation.
 //!
 //! Writes (SMS send, calls, HTTP requests, `setProperty`) are never
-//! cached; `setProperty` through a cached proxy invalidates before it
+//! cached; `setProperty` through a cached stack invalidates before it
 //! forwards. Knobs travel the ordinary property plane (`cache.ttl_ms`,
 //! `cache.coalescing`) exactly like the `retry.*` and `bulkhead.*`
 //! families.
@@ -42,13 +42,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mobivine_device::Device;
-use mobivine_telemetry::span::{ambient, ActiveSpan, Plane};
-use mobivine_telemetry::{Counter, Labels, MetricsRegistry};
 
-use crate::api::{CalendarProxy, ContactsProxy, LocationProxy, ProxyBase};
-use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::PropertyValue;
-use crate::types::{CalendarRecord, ContactRecord, Location, SharedProximityListener};
+use crate::error::ProxyError;
+use crate::property::{Knob, PropertyValue};
+use crate::stack::Method;
+use crate::telemetry::StageSpan;
 
 // ---------------------------------------------------------------------
 // Policy
@@ -135,67 +133,22 @@ impl CachePolicy {
 // Metrics
 // ---------------------------------------------------------------------
 
-macro_rules! cache_counters {
-    ($($(#[$doc:meta])* $name:ident),* $(,)?) => {
-        /// Shared cache counters, updated by the decorators and
-        /// snapshotted by observability code.
-        ///
-        /// A standalone block ([`CacheMetrics::shared`]) counts
-        /// privately; a registry-backed block
-        /// ([`CacheMetrics::on_registry`]) publishes the same counters
-        /// as `cache_<name>_total` series.
-        #[derive(Debug, Default)]
-        pub struct CacheMetrics {
-            $($(#[$doc])* $name: Counter,)*
-        }
-
-        /// A point-in-time copy of [`CacheMetrics`].
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct CacheSnapshot {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-
-        impl CacheMetrics {
-            /// Copies every counter at once.
-            pub fn snapshot(&self) -> CacheSnapshot {
-                CacheSnapshot {
-                    $($name: self.$name.value(),)*
-                }
-            }
-
-            /// A counter block whose handles live in `registry` under
-            /// `cache_<name>_total`.
-            pub fn on_registry(registry: &Arc<MetricsRegistry>) -> Arc<Self> {
-                Arc::new(Self {
-                    $($name: registry.counter(
-                        concat!("cache_", stringify!($name), "_total"),
-                        &Labels::empty(),
-                    ),)*
-                })
-            }
-        }
-    };
-}
-
-cache_counters! {
-    /// Reads served from a stored, still-fresh entry.
-    hit,
-    /// Reads that filled from the layer below (one binding-plane
-    /// invocation each).
-    miss,
-    /// Reads that joined an identical in-flight fill instead of issuing
-    /// their own.
-    coalesced,
-    /// Entries discarded by an invalidation trigger (`setProperty`,
-    /// fault-plan transition, circuit-state change) — natural TTL
-    /// expiry is not counted here.
-    invalidated,
-}
-
-impl CacheMetrics {
-    /// A fresh, shareable counter block (not registry-backed).
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::default())
+counter_block! {
+    /// Shared cache counters, updated by the stage and snapshotted by
+    /// observability code.
+    CacheMetrics => CacheSnapshot, "cache" {
+        /// Reads served from a stored, still-fresh entry.
+        hit,
+        /// Reads that filled from the layer below (one binding-plane
+        /// invocation each).
+        miss,
+        /// Reads that joined an identical in-flight fill instead of issuing
+        /// their own.
+        coalesced,
+        /// Entries discarded by an invalidation trigger (`setProperty`,
+        /// fault-plan transition, circuit-state change) — natural TTL
+        /// expiry is not counted here.
+        invalidated,
     }
 }
 
@@ -224,7 +177,7 @@ pub struct Stamp {
     /// The resilience circuit breaker's transition epoch at fill time
     /// (zero when the stack has no breaker under this proxy).
     pub circuit_epoch: u64,
-    /// The decorator's `setProperty` generation at fill time.
+    /// The stack's `setProperty` generation at fill time.
     pub generation: u64,
 }
 
@@ -232,31 +185,7 @@ pub struct Stamp {
 // Engine
 // ---------------------------------------------------------------------
 
-fn int_of(value: &PropertyValue) -> Option<i64> {
-    if let Some(i) = value.as_int() {
-        return Some(i);
-    }
-    value.as_str().and_then(|s| s.parse().ok())
-}
-
-fn bool_of(value: &PropertyValue) -> Option<bool> {
-    if let Some(b) = value.as_bool() {
-        return Some(b);
-    }
-    if let Some(i) = value.as_int() {
-        return Some(i != 0);
-    }
-    value.as_str().and_then(|s| s.parse().ok())
-}
-
-fn bad_value(key: &str, value: &PropertyValue) -> ProxyError {
-    ProxyError::new(
-        ProxyErrorKind::BadPropertyValue,
-        format!("cache property '{key}' cannot take value {value:?}"),
-    )
-}
-
-/// The TTL/stamp/knob state shared by one cached decorator.
+/// The TTL/stamp/knob state of one stack's cache stage.
 pub struct CacheEngine {
     device: Device,
     metrics: Arc<CacheMetrics>,
@@ -269,7 +198,7 @@ pub struct CacheEngine {
 impl CacheEngine {
     /// Creates an engine over `device` with the given starting TTL.
     /// `circuit_epoch` is the breaker's transition-epoch handle when a
-    /// resilience layer sits below this decorator.
+    /// resilience stage sits below this one.
     pub fn new(
         device: Device,
         ttl_ms: u64,
@@ -321,27 +250,24 @@ impl CacheEngine {
     }
 
     /// Intercepts the cache property keys; returns `None` for keys that
-    /// belong to the wrapped proxy.
-    fn try_set_cache_property(
+    /// belong to the stages below.
+    pub(crate) fn try_set_cache_property(
         &self,
         key: &str,
         value: &PropertyValue,
     ) -> Option<Result<(), ProxyError>> {
+        let knob = Knob {
+            layer: "cache",
+            key,
+            value,
+        };
         let result = match key {
-            "cache.ttl_ms" => match int_of(value) {
-                Some(n) if n >= 0 => {
-                    self.ttl_ms.store(n as u64, Ordering::Release);
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "cache.coalescing" => match bool_of(value) {
-                Some(b) => {
-                    self.coalescing.store(b, Ordering::Release);
-                    Ok(())
-                }
-                None => Err(bad_value(key, value)),
-            },
+            "cache.ttl_ms" => knob
+                .int(0)
+                .map(|n| self.ttl_ms.store(n as u64, Ordering::Release)),
+            "cache.coalescing" => knob
+                .bool()
+                .map(|on| self.coalescing.store(on, Ordering::Release)),
             _ => return None,
         };
         Some(result)
@@ -403,7 +329,7 @@ impl<V: Clone> Flight<V> {
     }
 }
 
-/// The keyed store underneath one cached decorator: fresh entries plus
+/// The keyed store of one stack's cache stage: fresh entries plus
 /// the map of in-flight fills.
 ///
 /// Lock discipline: `entries` and `flights` are taken briefly and never
@@ -460,29 +386,16 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
     /// identical in-flight fill, or lead a new fill of `fill` —
     /// recording the decision as a `cache_*` counter always and as a
     /// span event when a trace is ambient.
-    pub fn get_or_fill(
+    pub(crate) fn get_or_fill(
         &self,
         engine: &CacheEngine,
-        operation: &str,
+        method: &Method,
         key: K,
         fill: impl FnOnce() -> Result<V, ProxyError>,
     ) -> Result<V, ProxyError> {
-        let mut span = if ambient::is_active() {
-            ambient::child(
-                format!("cache:{operation}"),
-                Plane::Resilience,
-                engine.device.now_ms(),
-            )
-        } else {
-            None
-        };
-        let result = self.get_or_fill_inner(engine, key, fill, span.as_mut());
-        if let Some(mut s) = span.take() {
-            if let Err(e) = &result {
-                s.attr("error", crate::telemetry::kind_name(e.kind()));
-            }
-            s.end(engine.device.now_ms());
-        }
+        let mut span = StageSpan::open(method.cache, &engine.device);
+        let result = self.get_or_fill_inner(engine, key, fill, &mut span);
+        span.close(result.as_ref().err(), &engine.device);
         result
     }
 
@@ -491,7 +404,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
         engine: &CacheEngine,
         key: K,
         fill: impl FnOnce() -> Result<V, ProxyError>,
-        mut span: Option<&mut ActiveSpan>,
+        span: &mut StageSpan,
     ) -> Result<V, ProxyError> {
         // The stamp is taken *before* the fill and stored with the
         // entry: if an invalidation epoch moves while the fill is in
@@ -511,9 +424,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
                     engine.metrics.hit.inc();
                     let value = entry.value.clone();
                     drop(entries);
-                    if let Some(s) = span.as_deref_mut() {
-                        s.event("cache_hit", now);
-                    }
+                    span.event("cache_hit", now);
                     return Ok(value);
                 }
                 Some(_) => {
@@ -526,9 +437,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
         }
 
         if !engine.coalescing() {
-            if let Some(s) = span.as_deref_mut() {
-                s.event("cache_miss", now);
-            }
+            span.event("cache_miss", now);
             return self.fill_and_store(engine, key, stamp, fill);
         }
 
@@ -550,15 +459,11 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
         match role {
             Role::Follower(flight) => {
                 engine.metrics.coalesced.inc();
-                if let Some(s) = span.as_deref_mut() {
-                    s.event("cache_coalesced", now);
-                }
+                span.event("cache_coalesced", now);
                 flight.wait()
             }
             Role::Leader(flight) => {
-                if let Some(s) = span {
-                    s.event("cache_miss", now);
-                }
+                span.event("cache_miss", now);
                 let result = self.fill_and_store(engine, key.clone(), stamp, fill);
                 // Unpublish before publishing: a caller arriving after
                 // the removal starts a fresh flight instead of joining
@@ -596,209 +501,14 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Decorators
-// ---------------------------------------------------------------------
-
-macro_rules! cached_set_property {
-    () => {
-        fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-            match self.engine.try_set_cache_property(key, &value) {
-                Some(result) => {
-                    if result.is_ok() {
-                        self.cell.invalidate_all(&self.engine);
-                    }
-                    result
-                }
-                None => {
-                    // Invalidate before forwarding, and even if the
-                    // inner layer rejects the key: a property write is
-                    // a mutation signal whether or not it lands.
-                    self.cell.invalidate_all(&self.engine);
-                    self.inner.set_property(key, value)
-                }
-            }
-        }
-    };
-}
-
-/// [`LocationProxy`] decorator: read-through caching and single-flight
-/// coalescing for `getLocation`. Proximity-alert registration mutates
-/// listener state and is forwarded untouched.
-pub struct CachedLocationProxy {
-    inner: Arc<dyn LocationProxy>,
-    engine: CacheEngine,
-    cell: CacheCell<(), Location>,
-}
-
-impl CachedLocationProxy {
-    /// Wraps `inner` under `policy`, stamping entries against `device`'s
-    /// fault epoch and (when present) the breaker epoch of the
-    /// resilience layer below.
-    pub fn new(
-        inner: Arc<dyn LocationProxy>,
-        device: Device,
-        policy: &CachePolicy,
-        circuit_epoch: Option<Arc<AtomicU64>>,
-        metrics: Arc<CacheMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: CacheEngine::new(
-                device,
-                policy.location_ttl(),
-                policy.coalescing_enabled(),
-                circuit_epoch,
-                metrics,
-            ),
-            cell: CacheCell::new(),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &CacheEngine {
-        &self.engine
-    }
-}
-
-impl ProxyBase for CachedLocationProxy {
-    cached_set_property!();
-}
-
-impl LocationProxy for CachedLocationProxy {
-    fn add_proximity_alert(
-        &self,
-        latitude: f64,
-        longitude: f64,
-        altitude: f64,
-        radius: f64,
-        timer_s: i64,
-        listener: SharedProximityListener,
-    ) -> Result<(), ProxyError> {
-        self.inner
-            .add_proximity_alert(latitude, longitude, altitude, radius, timer_s, listener)
-    }
-
-    fn remove_proximity_alert(
-        &self,
-        listener: &SharedProximityListener,
-    ) -> Result<bool, ProxyError> {
-        self.inner.remove_proximity_alert(listener)
-    }
-
-    fn get_location(&self) -> Result<Location, ProxyError> {
-        let inner = &self.inner;
-        self.cell
-            .get_or_fill(&self.engine, "getLocation", (), || inner.get_location())
-    }
-
-    fn get_location_with_power(&self) -> Result<(Location, f64), ProxyError> {
-        // The power ledger is monotonic — caching the pair would serve
-        // stale energy figures — so the multi-read always goes through.
-        self.inner.get_location_with_power()
-    }
-}
-
-/// [`ContactsProxy`] decorator: read-through caching keyed by query.
-pub struct CachedContactsProxy {
-    inner: Arc<dyn ContactsProxy>,
-    engine: CacheEngine,
-    cell: CacheCell<String, Vec<ContactRecord>>,
-}
-
-impl CachedContactsProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn ContactsProxy>,
-        device: Device,
-        policy: &CachePolicy,
-        metrics: Arc<CacheMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: CacheEngine::new(
-                device,
-                policy.contacts_ttl(),
-                policy.coalescing_enabled(),
-                None,
-                metrics,
-            ),
-            cell: CacheCell::new(),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &CacheEngine {
-        &self.engine
-    }
-}
-
-impl ProxyBase for CachedContactsProxy {
-    cached_set_property!();
-}
-
-impl ContactsProxy for CachedContactsProxy {
-    fn find_contacts(&self, query: &str) -> Result<Vec<ContactRecord>, ProxyError> {
-        let inner = &self.inner;
-        self.cell
-            .get_or_fill(&self.engine, "findContacts", query.to_owned(), || {
-                inner.find_contacts(query)
-            })
-    }
-}
-
-/// [`CalendarProxy`] decorator: read-through caching keyed by window.
-pub struct CachedCalendarProxy {
-    inner: Arc<dyn CalendarProxy>,
-    engine: CacheEngine,
-    cell: CacheCell<(u64, u64), Vec<CalendarRecord>>,
-}
-
-impl CachedCalendarProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn CalendarProxy>,
-        device: Device,
-        policy: &CachePolicy,
-        metrics: Arc<CacheMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: CacheEngine::new(
-                device,
-                policy.calendar_ttl(),
-                policy.coalescing_enabled(),
-                None,
-                metrics,
-            ),
-            cell: CacheCell::new(),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &CacheEngine {
-        &self.engine
-    }
-}
-
-impl ProxyBase for CachedCalendarProxy {
-    cached_set_property!();
-}
-
-impl CalendarProxy for CachedCalendarProxy {
-    fn entries_between(&self, from_ms: u64, to_ms: u64) -> Result<Vec<CalendarRecord>, ProxyError> {
-        let inner = &self.inner;
-        self.cell
-            .get_or_fill(&self.engine, "entriesBetween", (from_ms, to_ms), || {
-                inner.entries_between(from_ms, to_ms)
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ProxyErrorKind;
+    use crate::stack::Method;
     use std::sync::atomic::AtomicUsize;
+
+    const READ: Method = method!(0, "Test", "read");
 
     fn engine(device: &Device, ttl_ms: u64) -> CacheEngine {
         CacheEngine::new(device.clone(), ttl_ms, true, None, CacheMetrics::shared())
@@ -832,11 +542,11 @@ mod tests {
             fills.fetch_add(1, Ordering::SeqCst);
             Ok(7)
         };
-        assert_eq!(cell.get_or_fill(&engine, "read", (), fill), Ok(7));
-        assert_eq!(cell.get_or_fill(&engine, "read", (), fill), Ok(7));
+        assert_eq!(cell.get_or_fill(&engine, &READ, (), fill), Ok(7));
+        assert_eq!(cell.get_or_fill(&engine, &READ, (), fill), Ok(7));
         assert_eq!(fills.load(Ordering::SeqCst), 1, "second read served hot");
         device.advance_ms(1_001);
-        assert_eq!(cell.get_or_fill(&engine, "read", (), fill), Ok(7));
+        assert_eq!(cell.get_or_fill(&engine, &READ, (), fill), Ok(7));
         assert_eq!(fills.load(Ordering::SeqCst), 2, "expired entry refilled");
         let snap = engine.metrics().snapshot();
         assert_eq!((snap.hit, snap.miss), (1, 2));
@@ -854,7 +564,7 @@ mod tests {
             Ok(1)
         };
         for _ in 0..3 {
-            assert!(cell.get_or_fill(&engine, "read", (), fill).is_ok());
+            assert!(cell.get_or_fill(&engine, &READ, (), fill).is_ok());
         }
         assert_eq!(fills.load(Ordering::SeqCst), 3);
         assert_eq!(engine.metrics().snapshot().hit, 0);
@@ -871,7 +581,7 @@ mod tests {
             Err(ProxyError::new(ProxyErrorKind::Unavailable, "no fix"))
         };
         for _ in 0..2 {
-            assert!(cell.get_or_fill(&engine, "read", (), fill).is_err());
+            assert!(cell.get_or_fill(&engine, &READ, (), fill).is_err());
         }
         assert_eq!(fills.load(Ordering::SeqCst), 2, "each failure re-fills");
         assert!(cell.is_empty());
@@ -887,9 +597,9 @@ mod tests {
             fills.fetch_add(1, Ordering::SeqCst);
             Ok(9)
         };
-        cell.get_or_fill(&engine, "read", (), fill).ok();
+        cell.get_or_fill(&engine, &READ, (), fill).ok();
         device.bump_fault_epoch();
-        cell.get_or_fill(&engine, "read", (), fill).ok();
+        cell.get_or_fill(&engine, &READ, (), fill).ok();
         assert_eq!(fills.load(Ordering::SeqCst), 2);
         assert_eq!(engine.metrics().snapshot().invalidated, 1);
     }
@@ -911,11 +621,11 @@ mod tests {
             fills.fetch_add(1, Ordering::SeqCst);
             Ok(3)
         };
-        cell.get_or_fill(&engine, "read", (), fill).ok();
-        cell.get_or_fill(&engine, "read", (), fill).ok();
+        cell.get_or_fill(&engine, &READ, (), fill).ok();
+        cell.get_or_fill(&engine, &READ, (), fill).ok();
         assert_eq!(fills.load(Ordering::SeqCst), 1);
         breaker_epoch.fetch_add(1, Ordering::SeqCst);
-        cell.get_or_fill(&engine, "read", (), fill).ok();
+        cell.get_or_fill(&engine, &READ, (), fill).ok();
         assert_eq!(fills.load(Ordering::SeqCst), 2);
         assert_eq!(engine.metrics().snapshot().invalidated, 1);
     }
@@ -926,7 +636,7 @@ mod tests {
         let engine = engine(&device, 60_000);
         let cell: CacheCell<u32, u64> = CacheCell::new();
         for k in 0..3 {
-            cell.get_or_fill(&engine, "read", k, || Ok(u64::from(k)))
+            cell.get_or_fill(&engine, &READ, k, || Ok(u64::from(k)))
                 .ok();
         }
         assert_eq!(cell.len(), 3);
@@ -945,13 +655,13 @@ mod tests {
         let engine = engine(&device, 60_000);
         let cell: CacheCell<(), u64> = CacheCell::new();
         let fills = AtomicUsize::new(0);
-        cell.get_or_fill(&engine, "read", (), || {
+        cell.get_or_fill(&engine, &READ, (), || {
             fills.fetch_add(1, Ordering::SeqCst);
             device.bump_fault_epoch(); // mutation mid-flight
             Ok(1)
         })
         .ok();
-        cell.get_or_fill(&engine, "read", (), || {
+        cell.get_or_fill(&engine, &READ, (), || {
             fills.fetch_add(1, Ordering::SeqCst);
             Ok(2)
         })
@@ -975,7 +685,7 @@ mod tests {
             let cell = Arc::clone(&cell);
             let fills = Arc::clone(&fills);
             std::thread::spawn(move || {
-                cell.get_or_fill(&engine, "read", (), || {
+                cell.get_or_fill(&engine, &READ, (), || {
                     fills.fetch_add(1, Ordering::SeqCst);
                     while engine.metrics().snapshot().coalesced < FOLLOWERS as u64 {
                         std::thread::yield_now();
@@ -993,7 +703,7 @@ mod tests {
                 let cell = Arc::clone(&cell);
                 let fills = Arc::clone(&fills);
                 std::thread::spawn(move || {
-                    cell.get_or_fill(&engine, "read", (), || {
+                    cell.get_or_fill(&engine, &READ, (), || {
                         fills.fetch_add(1, Ordering::SeqCst);
                         Ok(0)
                     })
@@ -1017,7 +727,7 @@ mod tests {
         let cell: CacheCell<(), u64> = CacheCell::new();
         let fills = AtomicUsize::new(0);
         for _ in 0..2 {
-            cell.get_or_fill(&engine, "read", (), || {
+            cell.get_or_fill(&engine, &READ, (), || {
                 fills.fetch_add(1, Ordering::SeqCst);
                 Ok(5)
             })

@@ -25,10 +25,10 @@
 //!   [`ProxyErrorKind::AlreadyApplied`] fast path, counted and
 //!   converted back into the memoized success, never surfaced as a
 //!   failure;
-//! * **`Journaled` decorators** for the mutating proxy surfaces (SMS
-//!   send, HTTP submit, `setProperty`) that append an intent record
-//!   and cross the fsync barrier *before* the side effect runs. The
-//!   decorator sits between the overload and resilience layers
+//! * the stack's **`Journaled` stage** for the mutating proxy surfaces
+//!   (SMS send, HTTP submit, `setProperty`), which appends an intent
+//!   record and crosses the fsync barrier *before* the side effect
+//!   runs. The stage sits between the overload and resilience stages
 //!   (`… → Overload → Journaled → Resilient → …`), so shed calls burn
 //!   no intent and resilience retries of one logical call never
 //!   re-append.
@@ -48,12 +48,8 @@ use parking_lot::Mutex;
 
 use mobivine_device::Device;
 use mobivine_telemetry::span::{ambient, Plane};
-use mobivine_telemetry::{Counter, Labels, MetricsRegistry};
 
-use crate::api::{HttpProxy, ProxyBase, SmsProxy};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::PropertyValue;
-use crate::types::{DeliveryListener, HttpResult};
 
 // ---------------------------------------------------------------------
 // Checksums and framing
@@ -88,76 +84,33 @@ impl fmt::Display for Lsn {
 // Metrics
 // ---------------------------------------------------------------------
 
-macro_rules! journal_counters {
-    ($($(#[$doc:meta])* $name:ident),* $(,)?) => {
-        /// Shared durability counters, updated by the journal, the
-        /// decorators and the recovery path, snapshotted by
-        /// observability code.
-        ///
-        /// A standalone block ([`JournalMetrics::shared`]) counts
-        /// privately; a registry-backed block
-        /// ([`JournalMetrics::on_registry`]) publishes the same
-        /// counters as `journal_<name>_total` series.
-        #[derive(Debug, Default)]
-        pub struct JournalMetrics {
-            $($(#[$doc])* $name: Counter,)*
-        }
-
-        /// A point-in-time copy of [`JournalMetrics`].
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct JournalSnapshot {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-
-        impl JournalMetrics {
-            /// Copies every counter at once.
-            pub fn snapshot(&self) -> JournalSnapshot {
-                JournalSnapshot {
-                    $($name: self.$name.value(),)*
-                }
-            }
-
-            /// A counter block whose handles live in `registry` under
-            /// `journal_<name>_total`.
-            pub fn on_registry(registry: &Arc<MetricsRegistry>) -> Arc<Self> {
-                Arc::new(Self {
-                    $($name: registry.counter(
-                        concat!("journal_", stringify!($name), "_total"),
-                        &Labels::empty(),
-                    ),)*
-                })
-            }
-        }
-    };
-}
-
-journal_counters! {
-    /// Intent records appended (volatile until the next fsync).
-    appends,
-    /// fsync barriers crossed (volatile buffer drained durably).
-    fsyncs,
-    /// Segments sealed and rotated out of the active position.
-    rotations,
-    /// Torn tail records truncated during recovery (incomplete or
-    /// checksum-corrupt frames that never committed).
-    torn_truncated,
-    /// Committed records replayed by recovery after a crash.
-    replayed,
-    /// Recovery passes completed (one per crash survived).
-    recoveries,
-    /// Mutations answered from the journal because their idempotency
-    /// key was already committed — the `AlreadyApplied` fast path.
-    already_applied,
-    /// Checkpoints taken (state snapshot + high-water mark saved).
-    checkpoints,
+counter_block! {
+    /// Shared durability counters, updated by the journal, the stack's
+    /// journaled stage and the recovery path, snapshotted by
+    /// observability code.
+    JournalMetrics => JournalSnapshot, "journal" {
+        /// Intent records appended (volatile until the next fsync).
+        appends,
+        /// fsync barriers crossed (volatile buffer drained durably).
+        fsyncs,
+        /// Segments sealed and rotated out of the active position.
+        rotations,
+        /// Torn tail records truncated during recovery (incomplete or
+        /// checksum-corrupt frames that never committed).
+        torn_truncated,
+        /// Committed records replayed by recovery after a crash.
+        replayed,
+        /// Recovery passes completed (one per crash survived).
+        recoveries,
+        /// Mutations answered from the journal because their idempotency
+        /// key was already committed — the `AlreadyApplied` fast path.
+        already_applied,
+        /// Checkpoints taken (state snapshot + high-water mark saved).
+        checkpoints,
+    }
 }
 
 impl JournalMetrics {
-    /// A fresh, shareable counter block (not registry-backed).
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
     /// Counts one `AlreadyApplied` fast-path hit (callers outside this
     /// module — e.g. a server-side durability layer — dedup too).
     pub fn note_already_applied(&self) {
@@ -602,8 +555,8 @@ pub fn current_idempotency_key() -> Option<IdempotencyKey> {
 // ---------------------------------------------------------------------
 
 /// The client journal proper: the WAL plus the applied-key table the
-/// dedup fast path consults. One per runtime, shared by every
-/// `Journaled` decorator the registry wires.
+/// dedup fast path consults. One per runtime, shared by every stack's
+/// journaled stage.
 #[derive(Debug)]
 struct ClientJournal {
     journal: Journal,
@@ -613,7 +566,7 @@ struct ClientJournal {
     applied: HashMap<IdempotencyKey, u64>,
 }
 
-/// Shared state + policy + metrics behind the `Journaled` decorators.
+/// Shared state + policy + metrics behind the stack's journaled stage.
 pub struct JournalEngine {
     device: Device,
     policy: JournalPolicy,
@@ -648,7 +601,7 @@ impl JournalEngine {
     }
 
     /// The typed duplicate check: `Err(AlreadyApplied)` when `key` is
-    /// already journaled as committed. The decorators convert the
+    /// already journaled as committed. The SMS path converts the
     /// error back into the memoized success — callers of the uniform
     /// API never see it — but the seam stays typed so tests (and any
     /// future cross-process re-delivery path) can assert on it.
@@ -682,11 +635,9 @@ impl JournalEngine {
             self.device.advance_ms(self.policy.fsync_latency_ms);
         }
         if ambient::is_active() {
-            if let Some(mut span) = ambient::child(
-                "journal:fsync".to_string(),
-                Plane::Resilience,
-                self.device.now_ms(),
-            ) {
+            if let Some(mut span) =
+                ambient::child("journal:fsync", Plane::Resilience, self.device.now_ms())
+            {
                 span.attr("lsn", lsn.to_string());
                 span.end(self.device.now_ms());
             }
@@ -699,16 +650,6 @@ impl JournalEngine {
     pub fn mark_applied(&self, key: IdempotencyKey, message_id: u64) {
         self.state.lock().applied.insert(key, message_id);
     }
-
-    /// Snapshot of the journal shape for observability/tests.
-    pub fn journal_stats(&self) -> (Lsn, usize, usize) {
-        let state = self.state.lock();
-        (
-            state.journal.durable_end(),
-            state.journal.volatile_len(),
-            state.journal.segment_count(),
-        )
-    }
 }
 
 impl fmt::Debug for JournalEngine {
@@ -717,13 +658,6 @@ impl fmt::Debug for JournalEngine {
             .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
-}
-
-fn intent_payload(op: &str, key: Option<IdempotencyKey>, detail: &str) -> Vec<u8> {
-    let key = key
-        .map(IdempotencyKey::to_hex)
-        .unwrap_or_else(|| "-".into());
-    format!("{op}|{key}|{detail}").into_bytes()
 }
 
 /// Appends `?idem=<key>` (or `&idem=` when a query already exists) so
@@ -737,98 +671,59 @@ pub fn url_with_idempotency_key(url: &str, key: IdempotencyKey) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Decorators
+// Client journal path
 // ---------------------------------------------------------------------
 
-/// [`SmsProxy`] decorator: journals a send intent before the radio
-/// effect, and answers duplicate deliveries (same ambient idempotency
-/// key) from the journal with the memoized message id.
-pub struct JournaledSmsProxy {
-    inner: Arc<dyn SmsProxy>,
-    engine: Arc<JournalEngine>,
+fn intent_payload(op: &str, key: Option<IdempotencyKey>, detail: &str) -> Vec<u8> {
+    let key = key
+        .map(IdempotencyKey::to_hex)
+        .unwrap_or_else(|| "-".into());
+    format!("{op}|{key}|{detail}").into_bytes()
 }
 
-impl JournaledSmsProxy {
-    /// Wraps `inner` with journaling through `engine`.
-    pub fn new(inner: Arc<dyn SmsProxy>, engine: Arc<JournalEngine>) -> Self {
-        Self { inner, engine }
+impl JournalEngine {
+    /// The write-ahead path of one mutation `op` (an HTTP submit, a
+    /// `setProperty`): journals the intent, stamped with its
+    /// idempotency `key` when it has one, across the fsync barrier,
+    /// then runs `effect`. HTTP never suppresses a send here: only the
+    /// server knows whether a previous delivery committed, so the key
+    /// travels on the URL (`?idem=…`) and the server owns exactly-once.
+    pub(crate) fn journaled<T>(
+        &self,
+        op: &str,
+        key: Option<IdempotencyKey>,
+        detail: &str,
+        effect: &dyn Fn() -> Result<T, ProxyError>,
+    ) -> Result<T, ProxyError> {
+        self.intent(&intent_payload(op, key, detail));
+        effect()
     }
-}
 
-impl ProxyBase for JournaledSmsProxy {
-    fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-        self.engine
-            .intent(&intent_payload("set_property", None, key));
-        self.inner.set_property(key, value)
-    }
-}
-
-impl SmsProxy for JournaledSmsProxy {
-    fn send_text_message(
+    /// The exactly-once SMS path: a send whose ambient idempotency key
+    /// is already committed is answered with the memoized message id
+    /// (counted, not errored — re-delivery observes the original
+    /// outcome); otherwise the intent is journaled before `effect`
+    /// sends, and the returned id is memoized under the key.
+    pub(crate) fn send_once(
         &self,
         destination: &str,
-        text: &str,
-        delivery_listener: Option<Arc<dyn DeliveryListener>>,
+        effect: &dyn Fn() -> Result<u64, ProxyError>,
     ) -> Result<u64, ProxyError> {
         let key = current_idempotency_key();
         if let Some(key) = key {
-            if let Err(duplicate) = self.engine.check(key) {
+            if let Err(duplicate) = self.check(key) {
                 debug_assert!(duplicate.kind().is_duplicate());
-                if let Some(id) = self.engine.memoized_message(key) {
-                    // Counted, not errored: the effect already
-                    // committed once; re-delivery observes the
-                    // original outcome.
+                if let Some(id) = self.memoized_message(key) {
                     return Ok(id);
                 }
             }
         }
-        self.engine
-            .intent(&intent_payload("send_sms", key, destination));
-        let id = self
-            .inner
-            .send_text_message(destination, text, delivery_listener)?;
+        self.intent(&intent_payload("send_sms", key, destination));
+        let id = effect()?;
         if let Some(key) = key {
-            self.engine.mark_applied(key, id);
+            self.mark_applied(key, id);
         }
         Ok(id)
-    }
-}
-
-/// [`HttpProxy`] decorator: journals a submit intent before the
-/// request leaves, and stamps the ambient idempotency key onto the URL
-/// (`?idem=…`) so the server-side durability layer owns exactly-once —
-/// the client never suppresses an HTTP send, because only the server
-/// knows whether the previous delivery committed.
-pub struct JournaledHttpProxy {
-    inner: Arc<dyn HttpProxy>,
-    engine: Arc<JournalEngine>,
-}
-
-impl JournaledHttpProxy {
-    /// Wraps `inner` with journaling through `engine`.
-    pub fn new(inner: Arc<dyn HttpProxy>, engine: Arc<JournalEngine>) -> Self {
-        Self { inner, engine }
-    }
-}
-
-impl ProxyBase for JournaledHttpProxy {
-    fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-        self.engine
-            .intent(&intent_payload("set_property", None, key));
-        self.inner.set_property(key, value)
-    }
-}
-
-impl HttpProxy for JournaledHttpProxy {
-    fn request(&self, method: &str, url: &str, body: &[u8]) -> Result<HttpResult, ProxyError> {
-        let key = current_idempotency_key();
-        self.engine.intent(&intent_payload("http", key, url));
-        match key {
-            Some(key) => self
-                .inner
-                .request(method, &url_with_idempotency_key(url, key), body),
-            None => self.inner.request(method, url, body),
-        }
     }
 }
 

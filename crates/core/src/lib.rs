@@ -62,6 +62,85 @@
 //! # Ok::<(), mobivine::error::ProxyError>(())
 //! ```
 
+/// Declares a layer's counter block: the `$metrics` struct of telemetry
+/// [`Counter`](mobivine_telemetry::Counter) handles, updated lock-free
+/// by the stack, and its `$snapshot` copy. A standalone block
+/// (`shared`) counts privately; a registry-backed block (`on_registry`)
+/// publishes every counter as a `<prefix>_<name>_total` series, so
+/// exporters see it alongside every other metric.
+macro_rules! counter_block {
+    ($(#[$meta:meta])* $metrics:ident => $snapshot:ident, $prefix:literal {
+        $($(#[$doc:meta])* $name:ident),* $(,)?
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        pub struct $metrics {
+            $($(#[$doc])* $name: ::mobivine_telemetry::Counter,)*
+        }
+
+        #[doc = concat!("A point-in-time copy of [`", stringify!($metrics), "`].")]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $snapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl $metrics {
+            /// A fresh, shareable counter block (not registry-backed).
+            pub fn shared() -> ::std::sync::Arc<Self> {
+                ::std::sync::Arc::new(Self::default())
+            }
+
+            #[doc = concat!(
+                "A counter block whose handles live in `registry` under `",
+                $prefix,
+                "_<name>_total`."
+            )]
+            pub fn on_registry(
+                registry: &::std::sync::Arc<::mobivine_telemetry::MetricsRegistry>,
+            ) -> ::std::sync::Arc<Self> {
+                ::std::sync::Arc::new(Self {
+                    $($name: registry.counter(
+                        concat!($prefix, "_", stringify!($name), "_total"),
+                        &::mobivine_telemetry::Labels::empty(),
+                    ),)*
+                })
+            }
+
+            /// The block a runtime wires: published on `registry` when
+            /// telemetry is on, private otherwise.
+            pub(crate) fn wired_to(
+                registry: Option<&::std::sync::Arc<::mobivine_telemetry::MetricsRegistry>>,
+            ) -> ::std::sync::Arc<Self> {
+                registry.map_or_else(Self::shared, Self::on_registry)
+            }
+
+            /// Copies every counter at once.
+            pub fn snapshot(&self) -> $snapshot {
+                $snapshot {
+                    $($name: self.$name.value(),)*
+                }
+            }
+        }
+
+    };
+}
+
+/// Declares the [`stack::Method`] at `index` of interface `proxy`: its
+/// span names are spelled out here, at compile time.
+macro_rules! method {
+    ($index:literal, $proxy:literal, $name:literal) => {
+        $crate::stack::Method {
+            index: $index,
+            name: $name,
+            proxy: concat!("proxy:", $proxy, ".", $name),
+            binding: concat!("binding:", $proxy, ".", $name),
+            cache: concat!("cache:", $name),
+            overload: concat!("overload:", $name),
+            resilience: concat!("resilience:", $name),
+        }
+    };
+}
+
 pub mod android;
 pub mod api;
 pub mod cache;
@@ -74,6 +153,7 @@ pub mod registry;
 pub mod resilience;
 pub mod s60;
 pub mod shard;
+mod stack;
 pub mod telemetry;
 pub mod types;
 pub mod webview;

@@ -25,7 +25,7 @@
 //!   which the resilience layer treats as non-retryable-here but
 //!   fallback-eligible.
 //!
-//! The Location and HTTP decorators add **graceful degradation tiers**:
+//! The Location and HTTP stacks add **graceful degradation tiers**:
 //! instead of surfacing every shed, they answer from the last cached
 //! fix (coarsened under deep shed pressure) or synthesize an accepted-
 //! but-unenriched HTTP response for droppable paths.
@@ -41,13 +41,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mobivine_device::Device;
-use mobivine_telemetry::span::{ambient, ActiveSpan, Plane};
-use mobivine_telemetry::{Counter, Labels, MetricsRegistry};
 
-use crate::api::{CallProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::PropertyValue;
-use crate::types::{CallProgress, DeliveryListener, HttpResult, Location, SharedProximityListener};
+use crate::property::{Knob, PropertyValue};
+use crate::stack::Method;
+use crate::telemetry::StageSpan;
+use crate::types::{HttpResult, Location};
 
 /// splitmix64 — the same deterministic mixer the resilience layer uses
 /// for jitter, here stepping the admission controller's coin-flip
@@ -161,7 +160,7 @@ pub fn current_deadline() -> Option<Deadline> {
 // Policy
 // ---------------------------------------------------------------------
 
-/// Tunable knobs for the overload decorators.
+/// Tunable knobs for the overload stage.
 ///
 /// Every field is also settable at run time through the property plane;
 /// the property keys are listed on each builder method.
@@ -337,8 +336,8 @@ const ADMIT_INCREASE: u64 = 16;
 const ADMIT_FLOOR: u64 = 64;
 
 /// How hard the stack is currently degrading, derived from the admitted
-/// fraction. Decorators use this to choose what to serve under
-/// pressure.
+/// fraction. The Location stack uses this to choose what to serve
+/// under pressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DegradeTier {
     /// Normal service: admitted fraction ≥ ⅔.
@@ -440,73 +439,26 @@ impl AdmissionController {
 // Metrics
 // ---------------------------------------------------------------------
 
-macro_rules! overload_counters {
-    ($($(#[$doc:meta])* $name:ident),* $(,)?) => {
-        /// Shared overload counters, updated by the decorators and
-        /// snapshotted by observability code.
-        ///
-        /// A standalone block ([`OverloadMetrics::shared`]) counts
-        /// privately; a registry-backed block
-        /// ([`OverloadMetrics::on_registry`]) publishes the same
-        /// counters as `overload_<name>_total` series.
-        #[derive(Debug, Default)]
-        pub struct OverloadMetrics {
-            $($(#[$doc])* $name: Counter,)*
-        }
-
-        /// A point-in-time copy of [`OverloadMetrics`].
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct OverloadSnapshot {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-
-        impl OverloadMetrics {
-            /// Copies every counter at once.
-            pub fn snapshot(&self) -> OverloadSnapshot {
-                OverloadSnapshot {
-                    $($name: self.$name.value(),)*
-                }
-            }
-
-            /// A counter block whose handles live in `registry` under
-            /// `overload_<name>_total`.
-            pub fn on_registry(registry: &Arc<MetricsRegistry>) -> Arc<Self> {
-                Arc::new(Self {
-                    $($name: registry.counter(
-                        concat!("overload_", stringify!($name), "_total"),
-                        &Labels::empty(),
-                    ),)*
-                })
-            }
-        }
-    };
-}
-
-overload_counters! {
-    /// Calls the admission controller let through.
-    admitted,
-    /// Calls shed by the admission controller.
-    shed,
-    /// Calls rejected after exhausting the bulkhead wait queue.
-    bulkhead_rejections,
-    /// Queue turns spent waiting for a bulkhead slot.
-    bulkhead_waits,
-    /// Calls failed fast because their deadline budget was already gone.
-    deadline_fail_fast,
-    /// Sheds absorbed by a degradation tier (cached/coarse answer).
-    degraded,
+counter_block! {
+    /// Shared overload counters, updated by the stage and snapshotted by
+    /// observability code.
+    OverloadMetrics => OverloadSnapshot, "overload" {
+        /// Calls the admission controller let through.
+        admitted,
+        /// Calls shed by the admission controller.
+        shed,
+        /// Calls rejected after exhausting the bulkhead wait queue.
+        bulkhead_rejections,
+        /// Queue turns spent waiting for a bulkhead slot.
+        bulkhead_waits,
+        /// Calls failed fast because their deadline budget was already gone.
+        deadline_fail_fast,
+        /// Sheds absorbed by a degradation tier (cached/coarse answer).
+        degraded,
+    }
 }
 
 impl OverloadMetrics {
-    /// A fresh, shareable counter block (not registry-backed).
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    fn bump(&self, counter: &Counter) {
-        counter.inc();
-    }
-
     /// Credits one degraded (cached/coarse) answer. Public so fleet
     /// reporting can fold degradation served outside the engine.
     pub fn note_degraded(&self) {
@@ -534,33 +486,9 @@ impl fmt::Display for OverloadSnapshot {
 // Engine
 // ---------------------------------------------------------------------
 
-fn int_of(value: &PropertyValue) -> Option<i64> {
-    if let Some(i) = value.as_int() {
-        return Some(i);
-    }
-    value.as_str().and_then(|s| s.parse().ok())
-}
-
-fn bool_of(value: &PropertyValue) -> Option<bool> {
-    if let Some(b) = value.as_bool() {
-        return Some(b);
-    }
-    if let Some(i) = value.as_int() {
-        return Some(i != 0);
-    }
-    value.as_str().and_then(|s| s.parse().ok())
-}
-
-fn bad_value(key: &str, value: &PropertyValue) -> ProxyError {
-    ProxyError::new(
-        ProxyErrorKind::BadPropertyValue,
-        format!("overload property '{key}' cannot take value {value:?}"),
-    )
-}
-
-/// The deadline/bulkhead/shedding engine shared by the four overload
-/// decorators. Sits *outside* the resilience layer, so a shed call
-/// never spends retry budget.
+/// The deadline/bulkhead/shedding engine of one stack's overload stage.
+/// Sits *outside* the resilience stage, so a shed call never spends
+/// retry budget.
 pub struct OverloadEngine {
     device: Device,
     policy: Mutex<OverloadPolicy>,
@@ -621,27 +549,14 @@ impl OverloadEngine {
     /// Runs `call` under deadline fail-fast, admission control and the
     /// bulkhead, recording every decision as a span event when a trace
     /// is ambient and as an `overload_*` counter always.
-    pub fn execute<T>(
+    pub(crate) fn execute<T>(
         &self,
-        operation: &str,
+        method: &Method,
         call: &dyn Fn() -> Result<T, ProxyError>,
     ) -> Result<T, ProxyError> {
-        let mut span = if ambient::is_active() {
-            ambient::child(
-                format!("overload:{operation}"),
-                Plane::Resilience,
-                self.device.now_ms(),
-            )
-        } else {
-            None
-        };
-        let result = self.execute_inner(operation, call, span.as_mut());
-        if let Some(mut s) = span.take() {
-            if let Err(e) = &result {
-                s.attr("error", crate::telemetry::kind_name(e.kind()));
-            }
-            s.end(self.device.now_ms());
-        }
+        let mut span = StageSpan::open(method.overload, &self.device);
+        let result = self.execute_inner(method.name, call, &mut span);
+        span.close(result.as_ref().err(), &self.device);
         result
     }
 
@@ -649,7 +564,7 @@ impl OverloadEngine {
         &self,
         operation: &str,
         call: &dyn Fn() -> Result<T, ProxyError>,
-        mut span: Option<&mut ActiveSpan>,
+        span: &mut StageSpan,
     ) -> Result<T, ProxyError> {
         let policy = self.policy();
         let deadline = self.resolve_deadline(&policy);
@@ -658,11 +573,9 @@ impl OverloadEngine {
         //    must not touch the binding plane at all.
         let now = self.device.now_ms();
         if deadline.is_expired(now) {
-            self.metrics.bump(&self.metrics.deadline_fail_fast);
-            if let Some(s) = span.as_deref_mut() {
-                s.event("deadline_fail_fast", now);
-                s.attr("deadline.cause", "budget exhausted before admission");
-            }
+            self.metrics.deadline_fail_fast.inc();
+            span.event("deadline_fail_fast", now);
+            span.attr("deadline.cause", "budget exhausted before admission");
             return Err(ProxyError::new(
                 ProxyErrorKind::DeadlineExceeded,
                 format!(
@@ -675,12 +588,10 @@ impl OverloadEngine {
 
         // 2. Admission: a deterministic coin weighted by the AIMD gate.
         if policy.shed_enabled && !self.admission.admit() {
-            self.metrics.bump(&self.metrics.shed);
+            self.metrics.shed.inc();
             let retry_after = self.admission.retry_after_ms(policy.target_ms);
-            if let Some(s) = span.as_deref_mut() {
-                s.event("shed", now);
-                s.attr("shed.decision", "rejected");
-            }
+            span.event("shed", now);
+            span.attr("shed.decision", "rejected");
             return Err(ProxyError::new(
                 ProxyErrorKind::Overloaded,
                 format!(
@@ -691,10 +602,8 @@ impl OverloadEngine {
             )
             .with_retry_after(retry_after));
         }
-        self.metrics.bump(&self.metrics.admitted);
-        if let Some(s) = span.as_deref_mut() {
-            s.event("admitted", now);
-        }
+        self.metrics.admitted.inc();
+        span.event("admitted", now);
 
         // 3. Bulkhead: take a slot, waiting bounded simulated turns.
         let permit = self.acquire_slot(&policy, &deadline, span)?;
@@ -717,7 +626,7 @@ impl OverloadEngine {
         &self,
         policy: &OverloadPolicy,
         deadline: &Deadline,
-        mut span: Option<&mut ActiveSpan>,
+        span: &mut StageSpan,
     ) -> Result<BulkheadPermit, ProxyError> {
         let mut waits: u32 = 0;
         loop {
@@ -725,10 +634,8 @@ impl OverloadEngine {
                 return Ok(permit);
             }
             if waits >= policy.queue_depth {
-                self.metrics.bump(&self.metrics.bulkhead_rejections);
-                if let Some(s) = span.as_deref_mut() {
-                    s.event("bulkhead_rejected", self.device.now_ms());
-                }
+                self.metrics.bulkhead_rejections.inc();
+                span.event("bulkhead_rejected", self.device.now_ms());
                 return Err(ProxyError::new(
                     ProxyErrorKind::Overloaded,
                     format!(
@@ -740,14 +647,12 @@ impl OverloadEngine {
             }
             let now = self.device.now_ms();
             if deadline.remaining_ms(now) < policy.queue_wait_ms {
-                self.metrics.bump(&self.metrics.deadline_fail_fast);
-                if let Some(s) = span.as_deref_mut() {
-                    s.event("deadline_fail_fast", now);
-                    s.attr(
-                        "deadline.cause",
-                        "budget too small to queue for a bulkhead slot",
-                    );
-                }
+                self.metrics.deadline_fail_fast.inc();
+                span.event("deadline_fail_fast", now);
+                span.attr(
+                    "deadline.cause",
+                    "budget too small to queue for a bulkhead slot",
+                );
                 return Err(ProxyError::new(
                     ProxyErrorKind::DeadlineExceeded,
                     format!(
@@ -758,302 +663,85 @@ impl OverloadEngine {
                 ));
             }
             waits += 1;
-            self.metrics.bump(&self.metrics.bulkhead_waits);
-            if let Some(s) = span.as_deref_mut() {
-                s.event("bulkhead_wait", now);
-            }
+            self.metrics.bulkhead_waits.inc();
+            span.event("bulkhead_wait", now);
             self.device.advance_ms(policy.queue_wait_ms);
         }
     }
 
     /// Intercepts the overload property keys; returns `None` for keys
-    /// that belong to the wrapped proxy.
+    /// that belong to the stages below.
     pub fn try_set_policy_property(
         &self,
         key: &str,
         value: &PropertyValue,
     ) -> Option<Result<(), ProxyError>> {
         let mut policy = self.policy.lock();
+        let knob = Knob {
+            layer: "overload",
+            key,
+            value,
+        };
         let result = match key {
-            "bulkhead.max_concurrency" => match int_of(value) {
-                Some(n) if n >= 1 => {
-                    policy.max_concurrency = n as u32;
-                    self.bulkhead.configure(policy.max_concurrency);
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "bulkhead.queue_depth" => match int_of(value) {
-                Some(n) if n >= 0 => {
-                    policy.queue_depth = n as u32;
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "bulkhead.queue_wait_ms" => match int_of(value) {
-                Some(n) if n >= 1 => {
-                    policy.queue_wait_ms = n as u64;
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "shed.enabled" => match bool_of(value) {
-                Some(enabled) => {
-                    policy.shed_enabled = enabled;
-                    Ok(())
-                }
-                None => Err(bad_value(key, value)),
-            },
-            "shed.target_ms" => match int_of(value) {
-                Some(n) if n >= 1 => {
-                    policy.target_ms = n as u64;
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "shed.seed" => match int_of(value) {
-                Some(n) => {
-                    policy.shed_seed = n as u64;
-                    self.admission.reseed(policy.shed_seed);
-                    Ok(())
-                }
-                None => Err(bad_value(key, value)),
-            },
-            "deadline.default_ms" => match int_of(value) {
-                Some(n) if n >= 1 => {
-                    policy.deadline_default_ms = n as u64;
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
+            "bulkhead.max_concurrency" => knob.int(1).map(|n| {
+                policy.max_concurrency = n as u32;
+                self.bulkhead.configure(policy.max_concurrency);
+            }),
+            "bulkhead.queue_depth" => knob.int(0).map(|n| policy.queue_depth = n as u32),
+            "bulkhead.queue_wait_ms" => knob.int(1).map(|n| policy.queue_wait_ms = n as u64),
+            "shed.enabled" => knob.bool().map(|on| policy.shed_enabled = on),
+            "shed.target_ms" => knob.int(1).map(|n| policy.target_ms = n as u64),
+            "shed.seed" => knob.int(i64::MIN).map(|n| {
+                policy.shed_seed = n as u64;
+                self.admission.reseed(policy.shed_seed);
+            }),
+            "deadline.default_ms" => knob.int(1).map(|n| policy.deadline_default_ms = n as u64),
             _ => return None,
         };
         Some(result)
     }
-}
 
-macro_rules! forward_set_property {
-    () => {
-        fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-            match self.engine.try_set_policy_property(key, &value) {
-                Some(result) => result,
-                None => self.inner.set_property(key, value),
-            }
-        }
-    };
-}
-
-// ---------------------------------------------------------------------
-// Decorators
-// ---------------------------------------------------------------------
-
-/// [`LocationProxy`] decorator: deadline fail-fast, admission control,
-/// bulkhead — plus graceful degradation. A shed `getLocation` is
-/// answered from the last cached fix ([`DegradeTier::Reduced`]) or from
-/// the cached fix with its accuracy coarsened to at least 500 m
-/// ([`DegradeTier::Minimal`]), instead of surfacing the error.
-pub struct OverloadLocationProxy {
-    inner: Arc<dyn LocationProxy>,
-    engine: OverloadEngine,
-    last_fix: Mutex<Option<Location>>,
-}
-
-/// Stated inaccuracy of a coarsened (Minimal-tier) degraded fix.
-const COARSE_ACCURACY_M: f64 = 500.0;
-
-impl OverloadLocationProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn LocationProxy>,
-        device: Device,
-        policy: OverloadPolicy,
-        metrics: Arc<OverloadMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: OverloadEngine::new(device, policy, metrics),
-            last_fix: Mutex::new(None),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &OverloadEngine {
-        &self.engine
-    }
-
-    /// Absorbs a shed into a degraded answer when a cached fix exists:
-    /// Reduced serves it as-is, Minimal coarsens the stated accuracy.
-    fn degrade(&self, shed: ProxyError) -> Result<Location, ProxyError> {
+    /// The Location degradation tier: absorbs a shed into the last
+    /// admitted fix `cached` when one exists — served as-is at
+    /// [`DegradeTier::Reduced`], with its stated accuracy coarsened to
+    /// at least 500 m at [`DegradeTier::Minimal`].
+    pub(crate) fn degrade_fix(
+        &self,
+        cached: Option<Location>,
+        shed: ProxyError,
+    ) -> Result<Location, ProxyError> {
         if !shed.kind().is_load_shed() {
             return Err(shed);
         }
-        let cached = *self.last_fix.lock();
         match cached {
             Some(mut fix) => {
-                if self.engine.tier() == DegradeTier::Minimal {
+                if self.tier() == DegradeTier::Minimal {
                     fix.accuracy_m = fix.accuracy_m.max(COARSE_ACCURACY_M);
                 }
-                self.engine.metrics.note_degraded();
+                self.metrics.note_degraded();
                 Ok(fix)
             }
             None => Err(shed),
         }
     }
-}
 
-impl ProxyBase for OverloadLocationProxy {
-    forward_set_property!();
-}
-
-impl LocationProxy for OverloadLocationProxy {
-    fn add_proximity_alert(
+    /// The HTTP degradation tier: a shed request whose URL contains the
+    /// configured droppable fragment (`shed.droppable_path`) is answered
+    /// with a synthetic `202 Accepted` carrying an
+    /// `X-Mobivine-Degraded` header instead of an error — the
+    /// enrichment is dropped, the caller proceeds.
+    pub(crate) fn degrade_http(
         &self,
-        latitude: f64,
-        longitude: f64,
-        altitude: f64,
-        radius: f64,
-        timer_s: i64,
-        listener: SharedProximityListener,
-    ) -> Result<(), ProxyError> {
-        self.engine.execute("addProximityAlert", &|| {
-            self.inner.add_proximity_alert(
-                latitude,
-                longitude,
-                altitude,
-                radius,
-                timer_s,
-                Arc::clone(&listener),
-            )
-        })
-    }
-
-    fn remove_proximity_alert(
-        &self,
-        listener: &SharedProximityListener,
-    ) -> Result<bool, ProxyError> {
-        // Local bookkeeping — never gated.
-        self.inner.remove_proximity_alert(listener)
-    }
-
-    fn get_location(&self) -> Result<Location, ProxyError> {
-        match self
-            .engine
-            .execute("getLocation", &|| self.inner.get_location())
-        {
-            Ok(fix) => {
-                *self.last_fix.lock() = Some(fix);
-                Ok(fix)
-            }
-            Err(e) => self.degrade(e),
-        }
-    }
-
-    fn get_location_with_power(&self) -> Result<(Location, f64), ProxyError> {
-        match self.engine.execute("getLocationWithPower", &|| {
-            self.inner.get_location_with_power()
-        }) {
-            Ok((fix, power)) => {
-                *self.last_fix.lock() = Some(fix);
-                Ok((fix, power))
-            }
-            // Degraded multi-reads serve the cached fix with a zero
-            // power figure — the ledger cannot be read without crossing.
-            Err(e) => self.degrade(e).map(|fix| (fix, 0.0)),
-        }
-    }
-}
-
-/// [`SmsProxy`] decorator: deadline fail-fast, admission control and
-/// bulkhead around `sendTextMessage`. No degradation tier — a message
-/// is either sent or it is not.
-pub struct OverloadSmsProxy {
-    inner: Arc<dyn SmsProxy>,
-    engine: OverloadEngine,
-}
-
-impl OverloadSmsProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn SmsProxy>,
-        device: Device,
-        policy: OverloadPolicy,
-        metrics: Arc<OverloadMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: OverloadEngine::new(device, policy, metrics),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &OverloadEngine {
-        &self.engine
-    }
-}
-
-impl ProxyBase for OverloadSmsProxy {
-    forward_set_property!();
-}
-
-impl SmsProxy for OverloadSmsProxy {
-    fn send_text_message(
-        &self,
-        destination: &str,
-        text: &str,
-        delivery_listener: Option<Arc<dyn DeliveryListener>>,
-    ) -> Result<u64, ProxyError> {
-        self.engine.execute("sendTextMessage", &|| {
-            self.inner
-                .send_text_message(destination, text, delivery_listener.clone())
-        })
-    }
-}
-
-/// Synthetic status of a degraded (enrichment-dropped) HTTP answer.
-const DEGRADED_HTTP_STATUS: u16 = 202;
-
-/// [`HttpProxy`] decorator: deadline fail-fast, admission control and
-/// bulkhead around `request` — plus enrichment dropping. Requests whose
-/// URL contains the configured droppable fragment
-/// (`shed.droppable_path`) are, when shed, answered with a synthetic
-/// `202 Accepted` carrying an `X-Mobivine-Degraded` header instead of
-/// an error: the enrichment is dropped, the caller proceeds.
-pub struct OverloadHttpProxy {
-    inner: Arc<dyn HttpProxy>,
-    engine: OverloadEngine,
-    droppable_path: Mutex<Option<String>>,
-}
-
-impl OverloadHttpProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn HttpProxy>,
-        device: Device,
-        policy: OverloadPolicy,
-        metrics: Arc<OverloadMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: OverloadEngine::new(device, policy, metrics),
-            droppable_path: Mutex::new(None),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &OverloadEngine {
-        &self.engine
-    }
-
-    /// Absorbs a shed into a synthetic degraded response when the URL
-    /// is droppable enrichment.
-    fn degrade(&self, url: &str, shed: ProxyError) -> Result<HttpResult, ProxyError> {
+        droppable: Option<&str>,
+        url: &str,
+        shed: ProxyError,
+    ) -> Result<HttpResult, ProxyError> {
         if !shed.kind().is_load_shed() {
             return Err(shed);
         }
-        let droppable = self.droppable_path.lock();
-        match droppable.as_deref() {
+        match droppable {
             Some(fragment) if url.contains(fragment) => {
-                self.engine.metrics.note_degraded();
+                self.metrics.note_degraded();
                 Ok(HttpResult {
                     status: DEGRADED_HTTP_STATUS,
                     headers: vec![("X-Mobivine-Degraded".to_owned(), "shed".to_owned())],
@@ -1065,91 +753,35 @@ impl OverloadHttpProxy {
     }
 }
 
-impl ProxyBase for OverloadHttpProxy {
-    fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-        if key == "shed.droppable_path" {
-            return match value.as_str() {
-                Some(fragment) => {
-                    *self.droppable_path.lock() = if fragment.is_empty() {
-                        None
-                    } else {
-                        Some(fragment.to_owned())
-                    };
-                    Ok(())
-                }
-                None => Err(bad_value(key, &value)),
-            };
-        }
-        match self.engine.try_set_policy_property(key, &value) {
-            Some(result) => result,
-            None => self.inner.set_property(key, value),
-        }
-    }
-}
+/// Stated inaccuracy of a coarsened (Minimal-tier) degraded fix.
+const COARSE_ACCURACY_M: f64 = 500.0;
 
-impl HttpProxy for OverloadHttpProxy {
-    fn request(&self, method: &str, url: &str, body: &[u8]) -> Result<HttpResult, ProxyError> {
-        match self
-            .engine
-            .execute("request", &|| self.inner.request(method, url, body))
-        {
-            Ok(result) => Ok(result),
-            Err(e) => self.degrade(url, e),
-        }
-    }
-}
-
-/// [`CallProxy`] decorator: only `makeACall` is gated — progress
-/// polling and hang-up refer to an existing call and must always go
-/// through (hanging up is how load *drains*).
-pub struct OverloadCallProxy {
-    inner: Arc<dyn CallProxy>,
-    engine: OverloadEngine,
-}
-
-impl OverloadCallProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn CallProxy>,
-        device: Device,
-        policy: OverloadPolicy,
-        metrics: Arc<OverloadMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: OverloadEngine::new(device, policy, metrics),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &OverloadEngine {
-        &self.engine
-    }
-}
-
-impl ProxyBase for OverloadCallProxy {
-    forward_set_property!();
-}
-
-impl CallProxy for OverloadCallProxy {
-    fn make_a_call(&self, number: &str) -> Result<u64, ProxyError> {
-        self.engine
-            .execute("makeACall", &|| self.inner.make_a_call(number))
-    }
-
-    fn call_progress(&self, call_id: u64) -> Result<CallProgress, ProxyError> {
-        self.inner.call_progress(call_id)
-    }
-
-    fn end_call(&self, call_id: u64) -> Result<(), ProxyError> {
-        self.inner.end_call(call_id)
-    }
-}
+/// Synthetic status of a degraded (enrichment-dropped) HTTP answer.
+const DEGRADED_HTTP_STATUS: u16 = 202;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{HttpProxy, LocationProxy, ProxyBase};
+    use crate::stack::{Kind, Layer, Layers, Stack};
+    use crate::types::SharedProximityListener;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A stack over `inner` whose only stage is overload under `policy`.
+    fn stack<P: ?Sized + Kind>(inner: Arc<P>, device: &Device, policy: OverloadPolicy) -> Stack<P> {
+        let layers = Layers {
+            overload: Some(Layer {
+                policy,
+                metrics: OverloadMetrics::shared(),
+            }),
+            ..Layers::default()
+        };
+        Stack::new(inner, &layers, device, "test")
+    }
+
+    fn engine<P: ?Sized + Kind>(proxy: &Stack<P>) -> &OverloadEngine {
+        proxy.overload.as_deref().expect("overload stage")
+    }
 
     fn device() -> Device {
         Device::builder().msisdn("+overload").build()
@@ -1216,12 +848,11 @@ mod tests {
         device: &Device,
         service_ms: u64,
         policy: OverloadPolicy,
-    ) -> OverloadLocationProxy {
-        OverloadLocationProxy::new(
+    ) -> Stack<dyn LocationProxy> {
+        stack::<dyn LocationProxy>(
             Arc::new(Slow::new(device.clone(), service_ms)),
-            device.clone(),
+            device,
             policy,
-            OverloadMetrics::shared(),
         )
     }
 
@@ -1296,7 +927,7 @@ mod tests {
                 .shed_enabled(false),
         );
         // Hold the only slot so every call must queue.
-        let _slot = proxy.engine.bulkhead().try_acquire().unwrap();
+        let _slot = engine(&proxy).bulkhead().try_acquire().unwrap();
         let before = dev.now_ms();
         let err = proxy.get_location().unwrap_err();
         assert_eq!(err.kind(), ProxyErrorKind::Overloaded);
@@ -1306,7 +937,7 @@ mod tests {
             30,
             "three simulated queue turns were waited"
         );
-        let snap = proxy.engine.metrics().snapshot();
+        let snap = engine(&proxy).metrics().snapshot();
         assert_eq!(snap.bulkhead_waits, 3);
         assert_eq!(snap.bulkhead_rejections, 1);
     }
@@ -1323,12 +954,12 @@ mod tests {
                 .queue_wait_ms(50)
                 .shed_enabled(false),
         );
-        let _slot = proxy.engine.bulkhead().try_acquire().unwrap();
+        let _slot = engine(&proxy).bulkhead().try_acquire().unwrap();
         let err = with_deadline(Deadline::after(dev.now_ms(), 30), || {
             proxy.get_location().unwrap_err()
         });
         assert_eq!(err.kind(), ProxyErrorKind::DeadlineExceeded);
-        assert_eq!(proxy.engine.metrics().snapshot().deadline_fail_fast, 1);
+        assert_eq!(engine(&proxy).metrics().snapshot().deadline_fail_fast, 1);
     }
 
     // ---- Admission controller ----------------------------------------
@@ -1437,18 +1068,13 @@ mod tests {
     fn expired_ambient_deadline_fails_fast_before_the_binding() {
         let dev = device();
         let inner = Arc::new(Slow::new(dev.clone(), 5));
-        let proxy = OverloadLocationProxy::new(
-            inner.clone(),
-            dev.clone(),
-            OverloadPolicy::default(),
-            OverloadMetrics::shared(),
-        );
+        let proxy = stack::<dyn LocationProxy>(inner.clone(), &dev, OverloadPolicy::default());
         let stale = Deadline::after(dev.now_ms(), 100);
         dev.advance_ms(200);
         let err = with_deadline(stale, || proxy.get_location().unwrap_err());
         assert_eq!(err.kind(), ProxyErrorKind::DeadlineExceeded);
         assert_eq!(inner.calls.load(Ordering::Relaxed), 0, "binding untouched");
-        assert_eq!(proxy.engine.metrics().snapshot().deadline_fail_fast, 1);
+        assert_eq!(engine(&proxy).metrics().snapshot().deadline_fail_fast, 1);
     }
 
     #[test]
@@ -1456,7 +1082,7 @@ mod tests {
         let dev = device();
         let proxy = overloaded(&dev, 5, OverloadPolicy::default());
         assert!(proxy.get_location().is_ok());
-        let snap = proxy.engine.metrics().snapshot();
+        let snap = engine(&proxy).metrics().snapshot();
         assert_eq!(snap.admitted, 1);
         assert_eq!(snap.deadline_fail_fast, 0);
     }
@@ -1483,9 +1109,9 @@ mod tests {
         // No cached fix would exist only if the very first call shed,
         // which cannot happen from a fully open gate — so sheds here
         // were absorbed by degradation unless the cache was empty.
-        let snap = proxy.engine.metrics().snapshot();
+        let snap = engine(&proxy).metrics().snapshot();
         assert!(snap.shed > 0, "1000 ms calls vs 100 ms target must shed");
-        assert!(proxy.engine.admission().rate() < ADMIT_SCALE);
+        assert!(engine(&proxy).admission().rate() < ADMIT_SCALE);
         assert!(hints_present);
         assert_eq!(sheds, 0, "location sheds degrade to the cached fix");
         assert_eq!(snap.degraded, snap.shed);
@@ -1508,7 +1134,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(proxy.engine.tier(), DegradeTier::Minimal);
+        assert_eq!(engine(&proxy).tier(), DegradeTier::Minimal);
         assert!(saw_coarse, "minimal tier coarsens the cached fix");
     }
 
@@ -1523,7 +1149,7 @@ mod tests {
         for _ in 0..50 {
             proxy.get_location().unwrap();
         }
-        let snap = proxy.engine.metrics().snapshot();
+        let snap = engine(&proxy).metrics().snapshot();
         assert_eq!(snap.shed, 0);
         assert_eq!(snap.admitted, 50);
     }
@@ -1535,24 +1161,24 @@ mod tests {
         proxy
             .set_property("bulkhead.max_concurrency", PropertyValue::Int(3))
             .unwrap();
-        assert_eq!(proxy.engine.bulkhead().cap(), 3);
+        assert_eq!(engine(&proxy).bulkhead().cap(), 3);
         proxy
             .set_property("shed.enabled", PropertyValue::Bool(false))
             .unwrap();
-        assert!(!proxy.engine.policy().shed_enabled);
+        assert!(!engine(&proxy).policy().shed_enabled);
         proxy
             .set_property("shed.target_ms", PropertyValue::str("512"))
             .unwrap();
-        assert_eq!(proxy.engine.policy().target_ms, 512);
+        assert_eq!(engine(&proxy).policy().target_ms, 512);
         proxy
             .set_property("deadline.default_ms", PropertyValue::Int(2_000))
             .unwrap();
-        assert_eq!(proxy.engine.policy().deadline_default_ms, 2_000);
+        assert_eq!(engine(&proxy).policy().deadline_default_ms, 2_000);
         let err = proxy
             .set_property("bulkhead.max_concurrency", PropertyValue::Int(0))
             .unwrap_err();
         assert_eq!(err.kind(), ProxyErrorKind::BadPropertyValue);
-        // Non-overload keys flow to the wrapped proxy.
+        // Non-overload keys flow to the stages below.
         proxy
             .set_property("provider", PropertyValue::str("gps"))
             .unwrap();
@@ -1563,13 +1189,13 @@ mod tests {
         let dev = device();
         let proxy = overloaded(&dev, 0, OverloadPolicy::default());
         for _ in 0..20 {
-            proxy.engine.admission().observe(1_000, 100);
+            engine(&proxy).admission().observe(1_000, 100);
         }
-        assert!(proxy.engine.admission().rate() < ADMIT_SCALE);
+        assert!(engine(&proxy).admission().rate() < ADMIT_SCALE);
         proxy
             .set_property("shed.seed", PropertyValue::Int(99))
             .unwrap();
-        assert_eq!(proxy.engine.admission().rate(), ADMIT_SCALE);
+        assert_eq!(engine(&proxy).admission().rate(), ADMIT_SCALE);
     }
 
     // ---- HTTP degradation --------------------------------------------
@@ -1604,14 +1230,13 @@ mod tests {
     #[test]
     fn shed_droppable_http_requests_degrade_to_synthetic_accepted() {
         let dev = device();
-        let proxy = OverloadHttpProxy::new(
+        let proxy = stack::<dyn HttpProxy>(
             Arc::new(OkHttp {
                 device: dev.clone(),
                 service_ms: 1_000,
             }),
-            dev.clone(),
+            &dev,
             OverloadPolicy::default().target_ms(50).shed_seed(4),
-            OverloadMetrics::shared(),
         );
         proxy
             .set_property("shed.droppable_path", PropertyValue::str("/enrich"))
@@ -1644,7 +1269,7 @@ mod tests {
         assert!(degraded > 0, "droppable enrichment was dropped");
         assert!(hard_sheds > 0, "non-droppable paths surface the shed");
         assert_eq!(
-            proxy.engine.metrics().snapshot().degraded,
+            engine(&proxy).metrics().snapshot().degraded,
             u64::from(degraded)
         );
     }

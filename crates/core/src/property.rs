@@ -100,6 +100,59 @@ impl fmt::Debug for PropertyValue {
     }
 }
 
+/// A property write a stack stage owns (`retry.*`, `bulkhead.*`,
+/// `cache.*`, …), with the one set of parsers every stage reads its
+/// knobs through. Each accepts the typed value or its string spelling;
+/// anything else is the same `BadPropertyValue` error, naming the stage.
+pub(crate) struct Knob<'a> {
+    /// The owning stage: `"resilience"`, `"overload"` or `"cache"`.
+    pub(crate) layer: &'static str,
+    pub(crate) key: &'a str,
+    pub(crate) value: &'a PropertyValue,
+}
+
+impl<'a> Knob<'a> {
+    /// An integer no smaller than `min`.
+    pub(crate) fn int(&self, min: i64) -> Result<i64, ProxyError> {
+        let parsed = self.value.as_int().or_else(|| self.parse());
+        self.check(parsed.filter(|n| *n >= min))
+    }
+
+    /// A float; integers widen.
+    pub(crate) fn float(&self) -> Result<f64, ProxyError> {
+        let parsed = self.value.as_int().map(|i| i as f64);
+        self.check(parsed.or_else(|| self.parse()))
+    }
+
+    /// A boolean; integers read as non-zero.
+    pub(crate) fn bool(&self) -> Result<bool, ProxyError> {
+        let parsed = self.value.as_bool();
+        let parsed = parsed.or_else(|| self.value.as_int().map(|i| i != 0));
+        self.check(parsed.or_else(|| self.parse()))
+    }
+
+    /// A string, as given.
+    pub(crate) fn text(&self) -> Result<&'a str, ProxyError> {
+        self.check(self.value.as_str())
+    }
+
+    fn parse<T: std::str::FromStr>(&self) -> Option<T> {
+        self.value.as_str()?.parse().ok()
+    }
+
+    fn check<T>(&self, parsed: Option<T>) -> Result<T, ProxyError> {
+        parsed.ok_or_else(|| {
+            ProxyError::new(
+                ProxyErrorKind::BadPropertyValue,
+                format!(
+                    "{} property '{}' cannot take value {:?}",
+                    self.layer, self.key, self.value
+                ),
+            )
+        })
+    }
+}
+
 /// The binding plane the standard catalog declares for `kind` on
 /// `platform`, shared process-wide: every proxy of one interface on one
 /// platform validates against the same allocation.

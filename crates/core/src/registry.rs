@@ -28,7 +28,7 @@
 //! ```
 //!
 //! Resolution is **memoized**: the first acquisition of a kind
-//! constructs the decorated proxy stack, every later acquisition is a
+//! constructs the layered proxy stack, every later acquisition is a
 //! lock-free read returning the same shared instance. The typed
 //! resolver is the *only* acquisition surface — the six legacy
 //! accessors (`location()`, `sms()`, …) were deprecated in 0.2.0 and
@@ -37,14 +37,21 @@
 //! ## Composable construction
 //!
 //! [`Mobivine::builder`] composes platform selection, resilience,
-//! overload protection, caching and telemetry in any order with a
-//! single `build()`; the legacy `for_*`/`with_*` chain remains for
-//! simple cases. Either way the decorator stack always comes out in
-//! the one canonical order, outermost first:
+//! overload protection, caching, journaling and telemetry in any order
+//! with a single `build()`; the legacy `for_*`/`with_*` chain remains
+//! for simple cases. Either way every kind is built through one generic
+//! path — bind the platform proxy, then layer the enabled stages — and
+//! the stack always comes out in the one canonical order, outermost
+//! first:
 //! `Traced(Proxy) → Cached → Overload → Journaled → Resilient →
-//! Traced(Binding)` — the journal sits inside the overload gate (shed
-//! calls burn no intent record) and outside the retry engine (one
-//! logical call appends one intent, however many retries it takes).
+//! Traced(Binding) → platform`. A cache hit costs neither admission nor
+//! retry budget; the journal sits inside the overload gate (shed calls
+//! burn no intent record) and outside the retry engine (one logical
+//! call appends one intent, however many retries it takes); every retry
+//! is its own binding-plane span. Each interface takes the stages that
+//! fit it: Location is cached but not journaled, SMS and HTTP are
+//! journaled but not cached, Call is neither, and Contacts and Calendar
+//! are cached only.
 
 use std::fmt;
 use std::sync::Arc;
@@ -54,7 +61,6 @@ use mobivine_android::context::Context;
 use mobivine_device::Device;
 use mobivine_proxydl::{PlatformId, ProxyDescriptor};
 use mobivine_s60::S60Platform;
-use mobivine_telemetry::span::Plane;
 use mobivine_telemetry::{IncidentStore, MetricsRegistry, PromotionPolicy, SloEngine};
 use mobivine_webview::WebView;
 
@@ -65,26 +71,15 @@ use crate::android::{
 use crate::api::{
     CalendarProxy, CallProxy, ContactsProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy,
 };
-use crate::cache::{
-    CacheMetrics, CachePolicy, CachedCalendarProxy, CachedContactsProxy, CachedLocationProxy,
-};
+use crate::cache::{CacheMetrics, CachePolicy};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::journal::{
-    JournalEngine, JournalMetrics, JournalPolicy, JournaledHttpProxy, JournaledSmsProxy,
-};
-use crate::overload::{
-    OverloadCallProxy, OverloadHttpProxy, OverloadLocationProxy, OverloadMetrics, OverloadPolicy,
-    OverloadSmsProxy,
-};
+use crate::journal::{JournalEngine, JournalMetrics, JournalPolicy};
+use crate::overload::{OverloadMetrics, OverloadPolicy};
 use crate::property::PropertyValue;
-use crate::resilience::{
-    ResilienceMetrics, ResiliencePolicy, ResilientCallProxy, ResilientHttpProxy,
-    ResilientLocationProxy, ResilientSmsProxy,
-};
+use crate::resilience::{ResilienceMetrics, ResiliencePolicy};
 use crate::s60::{S60CalendarProxy, S60ContactsProxy, S60HttpProxy, S60LocationProxy, S60SmsProxy};
-use crate::telemetry::{
-    TelemetryRuntime, TracedCallProxy, TracedHttpProxy, TracedLocationProxy, TracedSmsProxy,
-};
+use crate::stack::{Kind, Layer, Layers, Stack};
+use crate::telemetry::TelemetryRuntime;
 use crate::webview::proxies::{
     WebViewCallProxy, WebViewHttpProxy, WebViewLocationProxy, WebViewSmsProxy,
 };
@@ -184,12 +179,6 @@ mod sealed {
     /// the registry's construction match is exhaustive over the six
     /// catalog capabilities.
     pub trait Sealed {}
-    impl Sealed for dyn super::LocationProxy {}
-    impl Sealed for dyn super::SmsProxy {}
-    impl Sealed for dyn super::CallProxy {}
-    impl Sealed for dyn super::HttpProxy {}
-    impl Sealed for dyn super::ContactsProxy {}
-    impl Sealed for dyn super::CalendarProxy {}
 }
 
 /// The link between a uniform proxy trait object and its [`ProxyKind`]:
@@ -207,119 +196,99 @@ pub trait ProxyApi: sealed::Sealed + Send + Sync {
     fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError>;
 }
 
-impl ProxyApi for dyn LocationProxy {
-    const KIND: ProxyKind = ProxyKind::Location;
+/// Implements [`ProxyApi`] (sealed) for one `dyn *Proxy` type: its kind, its
+/// memo slot, and how each platform target binds it (`$bind`, a closure
+/// over the runtime and the target). Construction itself is the one
+/// generic path, [`Mobivine::build`].
+macro_rules! proxy_api {
+    ($api:ident, $kind:ident, $slot:ident, |$runtime:pat_param, $target:pat_param| $bind:expr) => {
+        impl sealed::Sealed for dyn $api {}
 
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.location
-    }
+        impl ProxyApi for dyn $api {
+            const KIND: ProxyKind = ProxyKind::$kind;
 
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_location()
-    }
+            fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
+                &cache.$slot
+            }
+
+            fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
+                let stack = runtime.build(|$runtime, $target| {
+                    let proxy: Arc<Self> = $bind;
+                    Ok(proxy)
+                })?;
+                Ok(if stack.is_bare() {
+                    stack.inner
+                } else {
+                    Arc::new(stack)
+                })
+            }
+        }
+    };
 }
 
-impl ProxyApi for dyn SmsProxy {
-    const KIND: ProxyKind = ProxyKind::Sms;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.sms
+proxy_api!(
+    LocationProxy,
+    Location,
+    location,
+    |_, target| match target {
+        Target::Android(ctx) => with_context(AndroidLocationProxy::new(), ctx)?,
+        Target::S60(platform) => Arc::new(S60LocationProxy::new(platform.clone())),
+        Target::WebView(webview) => Arc::new(WebViewLocationProxy::new(webview)?),
     }
+);
 
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_sms()
+proxy_api!(SmsProxy, Sms, sms, |_, target| match target {
+    Target::Android(ctx) => with_context(AndroidSmsProxy::new(), ctx)?,
+    Target::S60(platform) => Arc::new(S60SmsProxy::new(platform.clone())),
+    Target::WebView(webview) => Arc::new(WebViewSmsProxy::new(webview)?),
+});
+
+proxy_api!(CallProxy, Call, call, |runtime, target| match target {
+    Target::Android(ctx) => with_context(AndroidCallProxy::new(), ctx)?,
+    Target::S60(_) => return Err(runtime.unsupported("Call")),
+    Target::WebView(webview) => Arc::new(WebViewCallProxy::new(webview)?),
+});
+
+proxy_api!(HttpProxy, Http, http, |_, target| match target {
+    Target::Android(ctx) => with_context(AndroidHttpProxy::new(), ctx)?,
+    Target::S60(platform) => Arc::new(S60HttpProxy::new(platform.clone())),
+    Target::WebView(webview) => Arc::new(WebViewHttpProxy::new(webview)?),
+});
+
+proxy_api!(
+    ContactsProxy,
+    Contacts,
+    contacts,
+    |runtime, target| match target {
+        Target::Android(ctx) => with_context(AndroidContactsProxy::new(), ctx)?,
+        Target::S60(platform) => Arc::new(S60ContactsProxy::new(platform.clone())),
+        Target::WebView(_) => return Err(runtime.unsupported("Contacts")),
     }
-}
+);
 
-impl ProxyApi for dyn CallProxy {
-    const KIND: ProxyKind = ProxyKind::Call;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.call
+proxy_api!(
+    CalendarProxy,
+    Calendar,
+    calendar,
+    |runtime, target| match target {
+        Target::Android(ctx) => with_context(AndroidCalendarProxy::new(), ctx)?,
+        Target::S60(platform) => Arc::new(S60CalendarProxy::new(platform.clone())),
+        Target::WebView(_) => return Err(runtime.unsupported("Calendar")),
     }
+);
 
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_call()
-    }
-}
-
-impl ProxyApi for dyn HttpProxy {
-    const KIND: ProxyKind = ProxyKind::Http;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.http
-    }
-
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_http()
-    }
-}
-
-impl ProxyApi for dyn ContactsProxy {
-    const KIND: ProxyKind = ProxyKind::Contacts;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.contacts
-    }
-
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_contacts()
-    }
-}
-
-impl ProxyApi for dyn CalendarProxy {
-    const KIND: ProxyKind = ProxyKind::Calendar;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.calendar
-    }
-
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_calendar()
-    }
-}
-
-/// The runtime's resilience configuration: one policy and one shared
-/// counter block applied identically to every proxy it constructs.
-struct ResilienceRuntime {
-    policy: ResiliencePolicy,
-    metrics: Arc<ResilienceMetrics>,
-}
-
-/// The runtime's overload-protection configuration: one policy and one
-/// shared counter block applied identically to every proxy it
-/// constructs.
-struct OverloadRuntime {
-    policy: OverloadPolicy,
-    metrics: Arc<OverloadMetrics>,
-}
-
-/// The runtime's read-through cache configuration: one policy and one
-/// shared counter block applied identically to every cacheable proxy
-/// it constructs.
-struct CacheRuntime {
-    policy: CachePolicy,
-    metrics: Arc<CacheMetrics>,
-}
-
-/// The runtime's durability configuration: one policy, one shared
-/// counter block, and one shared [`JournalEngine`] (the write-ahead
-/// log + applied-key table) behind every mutating proxy it constructs.
-struct JournalRuntime {
-    policy: JournalPolicy,
-    metrics: Arc<JournalMetrics>,
-    engine: Arc<JournalEngine>,
+/// An Android proxy bound to the application `ctx` (the paper's
+/// `setProperty("context", this)`, Fig. 8(a)).
+fn with_context<T: ProxyBase>(proxy: T, ctx: &Context) -> Result<Arc<T>, ProxyError> {
+    proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
+    Ok(Arc::new(proxy))
 }
 
 /// The MobiVine runtime for one application on one platform.
 pub struct Mobivine {
     target: Target,
     catalog: Arc<Vec<ProxyDescriptor>>,
-    resilience: Option<ResilienceRuntime>,
-    overload: Option<OverloadRuntime>,
-    cache: Option<CacheRuntime>,
-    journal: Option<JournalRuntime>,
-    telemetry: Option<TelemetryRuntime>,
+    layers: Layers,
     slo: Option<Arc<SloEngine>>,
     resolved: ResolutionCache,
 }
@@ -339,11 +308,7 @@ impl Mobivine {
         Self {
             target,
             catalog: mobivine_proxydl::catalog::shared_catalog(),
-            resilience: None,
-            overload: None,
-            cache: None,
-            journal: None,
-            telemetry: None,
+            layers: Layers::default(),
             slo: None,
             resolved: ResolutionCache::default(),
         }
@@ -372,118 +337,95 @@ impl Mobivine {
         Self::with_target(Target::WebView(webview))
     }
 
-    /// Turns on the resilience layer: every Location/SMS/Call/HTTP
-    /// proxy this runtime constructs is pre-wrapped in the matching
-    /// [`crate::resilience`] decorator under `policy` — identically on
-    /// every platform, so retry behaviour is part of the uniform
-    /// surface rather than per-platform application code.
+    /// Turns on the resilience stage: every Location/SMS/Call/HTTP
+    /// proxy this runtime constructs retries and circuit-breaks under
+    /// `policy` (see [`crate::resilience`]) — identically on every
+    /// platform, so retry behaviour is part of the uniform surface
+    /// rather than per-platform application code.
     ///
-    /// All decorators share one [`ResilienceMetrics`] block, readable
+    /// All stacks share one [`ResilienceMetrics`] block, readable
     /// through [`Mobivine::resilience_metrics`].
     #[must_use]
     pub fn with_resilience(mut self, policy: ResiliencePolicy) -> Self {
-        let metrics = match &self.telemetry {
-            Some(t) => ResilienceMetrics::on_registry(t.metrics()),
-            None => ResilienceMetrics::shared(),
-        };
-        self.resilience = Some(ResilienceRuntime { policy, metrics });
-        // The decorator stack changed: previously resolved proxies do
-        // not carry the new layer, so the memo is invalidated.
+        let metrics = ResilienceMetrics::wired_to(self.telemetry_metrics().as_ref());
+        self.layers.resilience = Some(Layer { policy, metrics });
+        // The stack changed: previously resolved proxies do not carry
+        // the new stage, so the memo is invalidated.
         self.resolved = ResolutionCache::default();
         self
     }
 
     /// Turns on overload protection: every Location/SMS/Call/HTTP proxy
-    /// this runtime constructs is wrapped in the matching
-    /// [`crate::overload`] decorator under `policy` — a per-proxy
-    /// bulkhead, an adaptive load-shedding admission gate and
-    /// deadline-aware fail-fast, sitting **outside** the resilience
-    /// layer (when present) so a shed never spends retry budget.
+    /// this runtime constructs gets a per-proxy bulkhead, an adaptive
+    /// load-shedding admission gate and deadline-aware fail-fast under
+    /// `policy` (see [`crate::overload`]), sitting **outside** the
+    /// resilience stage (when present) so a shed never spends retry
+    /// budget.
     ///
-    /// All decorators share one [`OverloadMetrics`] block, readable
-    /// through [`Mobivine::overload_metrics`].
+    /// All stacks share one [`OverloadMetrics`] block, readable through
+    /// [`Mobivine::overload_metrics`].
     #[must_use]
     pub fn with_overload(mut self, policy: OverloadPolicy) -> Self {
-        let metrics = match &self.telemetry {
-            Some(t) => OverloadMetrics::on_registry(t.metrics()),
-            None => OverloadMetrics::shared(),
-        };
-        self.overload = Some(OverloadRuntime { policy, metrics });
+        let metrics = OverloadMetrics::wired_to(self.telemetry_metrics().as_ref());
+        self.layers.overload = Some(Layer { policy, metrics });
         self.resolved = ResolutionCache::default();
         self
     }
 
-    /// Turns on the read-through cache layer: the idempotent-read
-    /// proxies this runtime constructs (Location, Contacts, Calendar)
-    /// are wrapped in the matching [`crate::cache`] decorator under
-    /// `policy` — a TTL'd result cache with single-flight coalescing
-    /// and stamp-based invalidation, sitting **outside** the overload
-    /// layer (when present) so a cache hit costs neither admission nor
-    /// binding-plane work, and **inside** the proxy-plane traced layer
+    /// Turns on the read-through cache stage: the idempotent reads of
+    /// the proxies this runtime constructs (Location, Contacts,
+    /// Calendar) go through a TTL'd result cache with single-flight
+    /// coalescing and stamp-based invalidation under `policy` (see
+    /// [`crate::cache`]), sitting **outside** the overload stage (when
+    /// present) so a cache hit costs neither admission nor
+    /// binding-plane work, and **inside** the proxy-plane traced stage
     /// so hits and misses both appear in the span tree. Write-shaped
     /// proxies (SMS, Call, HTTP) are never cached.
     ///
-    /// All decorators share one [`CacheMetrics`] block, readable
-    /// through [`Mobivine::cache_metrics`].
+    /// All stacks share one [`CacheMetrics`] block, readable through
+    /// [`Mobivine::cache_metrics`].
     #[must_use]
     pub fn with_cache(mut self, policy: CachePolicy) -> Self {
-        let metrics = match &self.telemetry {
-            Some(t) => CacheMetrics::on_registry(t.metrics()),
-            None => CacheMetrics::shared(),
-        };
-        self.cache = Some(CacheRuntime { policy, metrics });
+        let metrics = CacheMetrics::wired_to(self.telemetry_metrics().as_ref());
+        self.layers.cache = Some(Layer { policy, metrics });
         self.resolved = ResolutionCache::default();
         self
     }
 
-    /// Turns on the durability layer: the mutating proxies this
-    /// runtime constructs (SMS, HTTP) are wrapped in the matching
-    /// [`crate::journal`] decorator under `policy` — every send or
-    /// submit appends an intent record to a shared write-ahead journal
-    /// and crosses a simulated fsync barrier *before* the side effect
-    /// runs, and mutations carrying an ambient
+    /// Turns on the durability stage: for the mutating proxies this
+    /// runtime constructs (SMS, HTTP), every send or submit appends an
+    /// intent record to a shared write-ahead journal under `policy` and
+    /// crosses a simulated fsync barrier *before* the side effect runs
+    /// (see [`crate::journal`]), and mutations carrying an ambient
     /// [`crate::journal::IdempotencyKey`] are deduplicated against the
-    /// journal (the `AlreadyApplied` fast path). The decorator sits
+    /// journal (the `AlreadyApplied` fast path). The stage sits
     /// **inside** the overload gate (shed calls burn no intent) and
     /// **outside** the retry engine (one logical call appends one
     /// intent, however many retries it takes).
     ///
-    /// All decorators share one [`JournalMetrics`] block, readable
-    /// through [`Mobivine::journal_metrics`].
+    /// All stacks share one [`JournalMetrics`] block, readable through
+    /// [`Mobivine::journal_metrics`].
     #[must_use]
     pub fn with_journal(mut self, policy: JournalPolicy) -> Self {
-        let metrics = match &self.telemetry {
-            Some(t) => JournalMetrics::on_registry(t.metrics()),
-            None => JournalMetrics::shared(),
-        };
-        let engine = Arc::new(JournalEngine::new(
-            self.device(),
-            policy.clone(),
-            Arc::clone(&metrics),
-        ));
-        self.journal = Some(JournalRuntime {
-            policy,
-            metrics,
-            engine,
-        });
+        let metrics = JournalMetrics::wired_to(self.telemetry_metrics().as_ref());
+        let engine = JournalEngine::new(self.device().clone(), policy, metrics);
+        self.layers.journal = Some(Arc::new(engine));
         self.resolved = ResolutionCache::default();
         self
     }
 
     /// Turns on plane-aware telemetry: every Location/SMS/Call/HTTP
-    /// proxy this runtime constructs is wrapped **twice** in the
-    /// matching [`crate::telemetry`] traced decorator — at the
-    /// outermost semantic plane and at the binding plane (below the
-    /// resilience layer, when present) — so each call descends the
-    /// stack as a parented span tree: app → proxy → resilience →
-    /// binding → platform → device.
+    /// proxy this runtime constructs is traced **twice** (see
+    /// [`crate::telemetry`]) — at the outermost semantic plane and at
+    /// the binding plane (below the resilience stage, when present) —
+    /// so each call descends the stack as a parented span tree: app →
+    /// proxy → resilience → binding → platform → device.
     ///
     /// Metrics publish into the device's [`MetricsRegistry`] (shared
     /// with the device subsystems); spans collect in the tracer
-    /// returned by [`Mobivine::tracer`]. If
-    /// [`Mobivine::with_resilience`] was already applied, its counters
-    /// are re-homed onto the same registry so one exporter covers the
-    /// whole call path.
+    /// returned by [`Mobivine::tracer`]. If another stage was already
+    /// enabled, its counters are re-homed onto the same registry so one
+    /// exporter covers the whole call path.
     #[must_use]
     pub fn with_telemetry(self) -> Self {
         self.with_telemetry_retention(mobivine_telemetry::DEFAULT_SPAN_RETENTION)
@@ -518,33 +460,30 @@ impl Mobivine {
         if let Some(engine) = &self.slo {
             telemetry = telemetry.with_slo(Arc::clone(engine));
         }
-        if let Some(r) = &mut self.resilience {
-            r.metrics = ResilienceMetrics::on_registry(telemetry.metrics());
+        let registry = telemetry.metrics();
+        if let Some(r) = &mut self.layers.resilience {
+            r.metrics = ResilienceMetrics::on_registry(registry);
         }
-        if let Some(o) = &mut self.overload {
-            o.metrics = OverloadMetrics::on_registry(telemetry.metrics());
+        if let Some(o) = &mut self.layers.overload {
+            o.metrics = OverloadMetrics::on_registry(registry);
         }
-        if let Some(c) = &mut self.cache {
-            c.metrics = CacheMetrics::on_registry(telemetry.metrics());
+        if let Some(c) = &mut self.layers.cache {
+            c.metrics = CacheMetrics::on_registry(registry);
         }
-        let device = self.device();
-        if let Some(j) = &mut self.journal {
+        let device = self.device().clone();
+        if let Some(j) = &mut self.layers.journal {
             // Re-home the counters and rebuild the engine on them: this
             // runs at wiring time, before any intent could have been
             // appended, so the fresh (empty) journal is equivalent.
-            j.metrics = JournalMetrics::on_registry(telemetry.metrics());
-            j.engine = Arc::new(JournalEngine::new(
-                device,
-                j.policy.clone(),
-                Arc::clone(&j.metrics),
-            ));
+            let metrics = JournalMetrics::on_registry(registry);
+            *j = Arc::new(JournalEngine::new(device, j.policy().clone(), metrics));
         }
-        self.telemetry = Some(telemetry);
+        self.layers.telemetry = Some(telemetry);
         self.resolved = ResolutionCache::default();
         self
     }
 
-    /// Attaches a declarative SLO engine: proxy-plane decorators feed
+    /// Attaches a declarative SLO engine: the proxy-plane stage feeds
     /// every finished call's `(ok, latency)` into the engine's matching
     /// `(proxy, method, platform)` objectives, evaluated on virtual-time
     /// multi-window burn rates. Order-independent with
@@ -553,8 +492,8 @@ impl Mobivine {
     /// proxy plane is where outcomes are observed).
     #[must_use]
     pub fn with_slo(mut self, engine: Arc<SloEngine>) -> Self {
-        if let Some(telemetry) = self.telemetry.take() {
-            self.telemetry = Some(telemetry.with_slo(Arc::clone(&engine)));
+        if let Some(telemetry) = self.layers.telemetry.take() {
+            self.layers.telemetry = Some(telemetry.with_slo(Arc::clone(&engine)));
         }
         self.slo = Some(engine);
         self.resolved = ResolutionCache::default();
@@ -564,37 +503,46 @@ impl Mobivine {
     /// The shared resilience counters, when
     /// [`Mobivine::with_resilience`] was applied.
     pub fn resilience_metrics(&self) -> Option<Arc<ResilienceMetrics>> {
-        self.resilience.as_ref().map(|r| Arc::clone(&r.metrics))
+        self.layers
+            .resilience
+            .as_ref()
+            .map(|r| Arc::clone(&r.metrics))
     }
 
     /// The shared overload-protection counters, when
     /// [`Mobivine::with_overload`] was applied.
     pub fn overload_metrics(&self) -> Option<Arc<OverloadMetrics>> {
-        self.overload.as_ref().map(|o| Arc::clone(&o.metrics))
+        self.layers
+            .overload
+            .as_ref()
+            .map(|o| Arc::clone(&o.metrics))
     }
 
     /// The shared cache counters, when [`Mobivine::with_cache`] was
     /// applied.
     pub fn cache_metrics(&self) -> Option<Arc<CacheMetrics>> {
-        self.cache.as_ref().map(|c| Arc::clone(&c.metrics))
+        self.layers.cache.as_ref().map(|c| Arc::clone(&c.metrics))
     }
 
     /// The shared durability counters, when [`Mobivine::with_journal`]
     /// was applied.
     pub fn journal_metrics(&self) -> Option<Arc<JournalMetrics>> {
-        self.journal.as_ref().map(|j| Arc::clone(&j.metrics))
+        self.layers
+            .journal
+            .as_ref()
+            .map(|j| Arc::clone(j.metrics()))
     }
 
     /// The shared write-ahead journal engine, when
     /// [`Mobivine::with_journal`] was applied.
     pub fn journal_engine(&self) -> Option<&Arc<JournalEngine>> {
-        self.journal.as_ref().map(|j| &j.engine)
+        self.layers.journal.as_ref()
     }
 
     /// The tracer collecting proxy-call spans, when
     /// [`Mobivine::with_telemetry`] was applied.
     pub fn tracer(&self) -> Option<&mobivine_telemetry::Tracer> {
-        self.telemetry.as_ref().map(TelemetryRuntime::tracer)
+        self.layers.telemetry.as_ref().map(TelemetryRuntime::tracer)
     }
 
     /// The metrics registry the traced proxies publish into, when
@@ -602,13 +550,17 @@ impl Mobivine {
     /// registry, so device-layer series appear alongside the proxy
     /// series.
     pub fn telemetry_metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        self.telemetry.as_ref().map(|t| Arc::clone(t.metrics()))
+        self.layers
+            .telemetry
+            .as_ref()
+            .map(|t| Arc::clone(t.metrics()))
     }
 
     /// The flight recorder's bounded store of promoted incident traces,
     /// when [`Mobivine::with_telemetry`] was applied.
     pub fn incidents(&self) -> Option<&Arc<IncidentStore>> {
-        self.telemetry
+        self.layers
+            .telemetry
             .as_ref()
             .and_then(TelemetryRuntime::incidents)
     }
@@ -620,12 +572,12 @@ impl Mobivine {
     }
 
     /// The simulated device underneath whichever platform binding this
-    /// runtime targets — the clock source for resilience backoffs.
-    fn device(&self) -> Device {
+    /// runtime targets — the clock every stage runs on.
+    fn device(&self) -> &Device {
         match &self.target {
-            Target::Android(ctx) => ctx.device().clone(),
-            Target::S60(platform) => platform.device().clone(),
-            Target::WebView(webview) => webview.context().device().clone(),
+            Target::Android(ctx) => ctx.device(),
+            Target::S60(platform) => platform.device(),
+            Target::WebView(webview) => webview.context().device(),
         }
     }
 
@@ -671,10 +623,10 @@ impl Mobivine {
     /// Resolves the proxy for capability `P`, memoized.
     ///
     /// The first acquisition of each [`ProxyKind`] constructs the
-    /// platform binding with the full decorator stack (telemetry,
-    /// resilience) and caches the shared instance; every later
-    /// acquisition is a lock-free read returning a clone of the same
-    /// `Arc`. This is the hot-path acquisition primitive fleet-scale
+    /// platform binding under every enabled stage (telemetry, cache,
+    /// overload, journal, resilience) and caches the shared instance;
+    /// every later acquisition is a lock-free read returning a clone of
+    /// the same `Arc`. This is the hot-path acquisition primitive fleet-scale
     /// workloads lean on: acquisition cost collapses from per-call
     /// construction to one `OnceLock` load plus an `Arc` refcount
     /// increment.
@@ -738,270 +690,25 @@ impl Mobivine {
         Ok(resolved)
     }
 
-    fn build_location(&self) -> Result<Arc<dyn LocationProxy>, ProxyError> {
-        if !self.supports("Location") {
-            return Err(self.unsupported("Location"));
+    /// The one construction path every kind takes: check the catalog,
+    /// `bind` the platform proxy on the target, then layer the enabled
+    /// stages over it.
+    fn build<P: Kind + ?Sized>(
+        &self,
+        bind: impl FnOnce(&Self, &Target) -> Result<Arc<P>, ProxyError>,
+    ) -> Result<Stack<P>, ProxyError> {
+        let interface = P::KIND.interface();
+        if !self.supports(interface) {
+            return Err(self.unsupported(interface));
         }
-        let mut proxy: Arc<dyn LocationProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidLocationProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60LocationProxy::new(platform.clone())),
-            Target::WebView(webview) => Arc::new(WebViewLocationProxy::new(webview)?),
-        };
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedLocationProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Binding,
-                self.platform_id().id(),
-            ));
-        }
-        let mut circuit_epoch = None;
-        if let Some(r) = &self.resilience {
-            let resilient = ResilientLocationProxy::new(
-                proxy,
-                self.device(),
-                r.policy.clone(),
-                Arc::clone(&r.metrics),
-            );
-            circuit_epoch = Some(resilient.circuit_epoch_handle());
-            proxy = Arc::new(resilient);
-        }
-        if let Some(o) = &self.overload {
-            proxy = Arc::new(OverloadLocationProxy::new(
-                proxy,
-                self.device(),
-                o.policy.clone(),
-                Arc::clone(&o.metrics),
-            ));
-        }
-        if let Some(c) = &self.cache {
-            proxy = Arc::new(CachedLocationProxy::new(
-                proxy,
-                self.device(),
-                &c.policy,
-                circuit_epoch,
-                Arc::clone(&c.metrics),
-            ));
-        }
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedLocationProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Proxy,
-                self.platform_id().id(),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_sms(&self) -> Result<Arc<dyn SmsProxy>, ProxyError> {
-        if !self.supports("SMS") {
-            return Err(self.unsupported("SMS"));
-        }
-        let mut proxy: Arc<dyn SmsProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidSmsProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60SmsProxy::new(platform.clone())),
-            Target::WebView(webview) => Arc::new(WebViewSmsProxy::new(webview)?),
-        };
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedSmsProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Binding,
-                self.platform_id().id(),
-            ));
-        }
-        if let Some(r) = &self.resilience {
-            proxy = Arc::new(ResilientSmsProxy::new(
-                proxy,
-                self.device(),
-                r.policy.clone(),
-                Arc::clone(&r.metrics),
-            ));
-        }
-        if let Some(j) = &self.journal {
-            proxy = Arc::new(JournaledSmsProxy::new(proxy, Arc::clone(&j.engine)));
-        }
-        if let Some(o) = &self.overload {
-            proxy = Arc::new(OverloadSmsProxy::new(
-                proxy,
-                self.device(),
-                o.policy.clone(),
-                Arc::clone(&o.metrics),
-            ));
-        }
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedSmsProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Proxy,
-                self.platform_id().id(),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_call(&self) -> Result<Arc<dyn CallProxy>, ProxyError> {
-        if !self.supports("Call") {
-            return Err(self.unsupported("Call"));
-        }
-        let mut proxy: Arc<dyn CallProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidCallProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(_) => return Err(self.unsupported("Call")),
-            Target::WebView(webview) => Arc::new(WebViewCallProxy::new(webview)?),
-        };
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedCallProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Binding,
-                self.platform_id().id(),
-            ));
-        }
-        if let Some(r) = &self.resilience {
-            proxy = Arc::new(ResilientCallProxy::new(
-                proxy,
-                self.device(),
-                r.policy.clone(),
-                Arc::clone(&r.metrics),
-            ));
-        }
-        if let Some(o) = &self.overload {
-            proxy = Arc::new(OverloadCallProxy::new(
-                proxy,
-                self.device(),
-                o.policy.clone(),
-                Arc::clone(&o.metrics),
-            ));
-        }
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedCallProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Proxy,
-                self.platform_id().id(),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_http(&self) -> Result<Arc<dyn HttpProxy>, ProxyError> {
-        if !self.supports("Http") {
-            return Err(self.unsupported("Http"));
-        }
-        let mut proxy: Arc<dyn HttpProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidHttpProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60HttpProxy::new(platform.clone())),
-            Target::WebView(webview) => Arc::new(WebViewHttpProxy::new(webview)?),
-        };
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedHttpProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Binding,
-                self.platform_id().id(),
-            ));
-        }
-        if let Some(r) = &self.resilience {
-            proxy = Arc::new(ResilientHttpProxy::new(
-                proxy,
-                self.device(),
-                r.policy.clone(),
-                Arc::clone(&r.metrics),
-            ));
-        }
-        if let Some(j) = &self.journal {
-            proxy = Arc::new(JournaledHttpProxy::new(proxy, Arc::clone(&j.engine)));
-        }
-        if let Some(o) = &self.overload {
-            proxy = Arc::new(OverloadHttpProxy::new(
-                proxy,
-                self.device(),
-                o.policy.clone(),
-                Arc::clone(&o.metrics),
-            ));
-        }
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedHttpProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Proxy,
-                self.platform_id().id(),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_contacts(&self) -> Result<Arc<dyn ContactsProxy>, ProxyError> {
-        if !self.supports("Contacts") {
-            return Err(self.unsupported("Contacts"));
-        }
-        let mut proxy: Arc<dyn ContactsProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidContactsProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60ContactsProxy::new(platform.clone())),
-            Target::WebView(_) => return Err(self.unsupported("Contacts")),
-        };
-        if let Some(c) = &self.cache {
-            proxy = Arc::new(CachedContactsProxy::new(
-                proxy,
-                self.device(),
-                &c.policy,
-                Arc::clone(&c.metrics),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_calendar(&self) -> Result<Arc<dyn CalendarProxy>, ProxyError> {
-        if !self.supports("Calendar") {
-            return Err(self.unsupported("Calendar"));
-        }
-        let mut proxy: Arc<dyn CalendarProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidCalendarProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60CalendarProxy::new(platform.clone())),
-            Target::WebView(_) => return Err(self.unsupported("Calendar")),
-        };
-        if let Some(c) = &self.cache {
-            proxy = Arc::new(CachedCalendarProxy::new(
-                proxy,
-                self.device(),
-                &c.policy,
-                Arc::clone(&c.metrics),
-            ));
-        }
-        Ok(proxy)
+        let inner = bind(self, &self.target)?;
+        let platform = self.platform_id();
+        Ok(Stack::new(
+            inner,
+            &self.layers,
+            self.device(),
+            platform.id(),
+        ))
     }
 }
 

@@ -11,29 +11,27 @@
 //! * [`TelemetryRuntime`] — one [`Tracer`] plus one shared
 //!   [`MetricsRegistry`] (the device's, so device subsystems and
 //!   middleware publish into the same registry),
-//! * traced decorators ([`TracedLocationProxy`], [`TracedSmsProxy`],
-//!   [`TracedHttpProxy`], [`TracedCallProxy`]) that the
-//!   [`crate::registry::Mobivine`] runtime installs **twice** per
-//!   proxy: once at the outermost semantic plane
-//!   ([`Plane::Proxy`]) and once at the binding plane
-//!   ([`Plane::Binding`]) below the resilience layer — so retries show
-//!   up as multiple binding-plane child spans under one proxy-plane
-//!   span.
+//! * the traced stage's per-plane kit, which the layered proxy stack
+//!   (see [`crate::registry`]) installs **twice** per proxy: once at
+//!   the outermost semantic plane ([`Plane::Proxy`]) and once at the
+//!   binding plane ([`Plane::Binding`]) below the resilience stage — so
+//!   retries show up as multiple binding-plane child spans under one
+//!   proxy-plane span.
 //!
-//! The proxy-plane decorator also feeds the metrics registry: a
+//! The proxy plane also feeds the metrics registry: a
 //! `proxy_calls_total` / `proxy_errors_total` counter pair and a
 //! `proxy_call_ms` latency histogram, all labelled
 //! `(proxy, method, platform)`.
 //!
 //! **The per-call path performs no heap allocation and takes no global
-//! lock.** Everything string-shaped is resolved once, at decorator
-//! construction (`Mobivine::with_telemetry` wiring time): each method
-//! gets a pre-formatted [`SpanName`] and — at the proxy plane — a
+//! lock.** Span names are compile-time strings, and everything else
+//! string-shaped is resolved once, at wiring time
+//! (`Mobivine::with_telemetry`): at the proxy plane each method gets a
 //! [`CallInstruments`] bundle of pre-resolved counter/histogram
-//! handles. A traced call is then: clone two `Arc` span names, two or
+//! handles. A traced call is then: copy two static span names, two or
 //! three atomic increments, one histogram bucket add, and a record
 //! moved into a per-thread span ring. `Labels::call` must never appear
-//! inside the per-call methods (CI greps for it); it belongs in
+//! inside the per-call path (CI greps for it); it belongs in
 //! [`CallInstruments::resolve`] alone.
 //!
 //! The proxy plane also closes the incident-debugging loop: it stamps
@@ -48,22 +46,20 @@
 //! Spans parent implicitly through the ambient span stack
 //! ([`mobivine_telemetry::span::ambient`]): if the application opened
 //! its own root span the proxy call nests under it; otherwise the
-//! proxy-plane decorator starts a fresh trace.
+//! proxy-plane stage starts a fresh trace.
 
 use std::sync::Arc;
 
-use mobivine_device::Device;
+use mobivine_device::{Device, SimClock};
 use mobivine_telemetry::recorder::take_promotion;
-use mobivine_telemetry::span::{ambient, Plane, SpanName, DEFAULT_SPAN_RETENTION};
+use mobivine_telemetry::span::{ambient, ActiveSpan, Plane, SpanName, DEFAULT_SPAN_RETENTION};
 use mobivine_telemetry::{
     Counter, Histogram, IncidentStore, Labels, MetricsRegistry, PromotionPolicy, Recorder,
     RecorderCounters, SloEngine, SloRecorder, Tracer,
 };
 
-use crate::api::{CallProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::PropertyValue;
-use crate::types::{CallProgress, DeliveryListener, HttpResult, Location, SharedProximityListener};
+use crate::stack::{Kind, Method};
 
 /// One runtime's telemetry wiring: the tracer collecting span records
 /// (with its flight-recorder promotion policy), the metrics registry
@@ -120,7 +116,7 @@ impl TelemetryRuntime {
         }
     }
 
-    /// Attaches an SLO engine; proxy-plane decorators wired after this
+    /// Attaches an SLO engine; proxy-plane stages wired after this
     /// call feed every finished call's `(ok, latency)` into the
     /// engine's matching objectives.
     pub fn with_slo(mut self, slo: Arc<SloEngine>) -> Self {
@@ -201,66 +197,67 @@ impl CallInstruments {
     }
 }
 
-/// One method's wiring-time state: its pre-formatted span name and, at
-/// the proxy plane, its metric handles and the SLO recorder feeding
-/// whichever declared objectives watch this `(proxy, method,
-/// platform)` series.
+/// One method's proxy-plane state: its metric handles and the SLO
+/// recorder feeding whichever declared objectives watch this `(proxy,
+/// method, platform)` series.
 struct MethodInstrument {
-    method: &'static str,
-    span_name: SpanName,
-    instruments: Option<CallInstruments>,
+    instruments: CallInstruments,
     slo: Option<SloRecorder>,
 }
 
-/// The per-decorator instrumentation kit: where to time, trace and
-/// count. All names and handles are resolved in [`Instrument::new`];
-/// the per-call [`Instrument::traced`] only copies symbols and bumps
+/// The traced stage's kit for one plane of one stack: where to time,
+/// trace and count. Span names are the compile-time strings of each
+/// [`Method`]; metric handles are resolved in [`Instrument::new`]; the
+/// per-call [`Instrument::traced`] only copies symbols and bumps
 /// atomics.
-struct Instrument {
-    device: Device,
+pub(crate) struct Instrument {
+    clock: SimClock,
     tracer: Tracer,
     plane: Plane,
     platform: SpanName,
+    /// Proxy plane only: one entry per method, indexed by
+    /// [`Method::index`]. Empty at the binding plane.
     methods: Vec<MethodInstrument>,
 }
 
 impl Instrument {
-    fn new(
-        device: Device,
+    /// Instruments every method of interface `P` at `plane`, timing
+    /// against the device's simulated `clock` and reporting through
+    /// `runtime`.
+    pub(crate) fn new<P: ?Sized + Kind>(
+        clock: &SimClock,
         runtime: &TelemetryRuntime,
         plane: Plane,
-        proxy: &'static str,
-        platform: &str,
-        methods: &[&'static str],
+        platform: SpanName,
     ) -> Self {
-        let methods = methods
-            .iter()
-            .map(|&method| MethodInstrument {
-                method,
-                span_name: SpanName::from(format!("{plane}:{proxy}.{method}")),
-                instruments: (plane == Plane::Proxy)
-                    .then(|| CallInstruments::resolve(&runtime.metrics, proxy, method, platform)),
-                slo: (plane == Plane::Proxy)
-                    .then_some(runtime.slo.as_ref())
-                    .flatten()
-                    .map(|engine| engine.recorder(proxy, method, platform))
-                    .filter(|recorder| !recorder.is_empty()),
-            })
-            .collect();
+        let proxy = P::KIND.interface();
+        let methods = if plane == Plane::Proxy {
+            P::METHODS
+                .iter()
+                .map(|m| MethodInstrument {
+                    instruments: CallInstruments::resolve(
+                        &runtime.metrics,
+                        proxy,
+                        m.name,
+                        &platform,
+                    ),
+                    slo: runtime
+                        .slo
+                        .as_ref()
+                        .map(|engine| engine.recorder(proxy, m.name, &platform))
+                        .filter(|recorder| !recorder.is_empty()),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         Self {
-            device,
+            clock: clock.clone(),
             tracer: runtime.tracer.clone(),
             plane,
-            platform: SpanName::from(platform.to_owned()),
+            platform,
             methods,
         }
-    }
-
-    fn method(&self, method: &'static str) -> &MethodInstrument {
-        self.methods
-            .iter()
-            .find(|m| m.method == method)
-            .expect("method listed in the traced_proxy! method table")
     }
 
     /// Runs one proxy call inside a span; the proxy plane additionally
@@ -273,22 +270,25 @@ impl Instrument {
     /// classification has already run — [`take_promotion`] then hands
     /// back the promoted [`mobivine_telemetry::TraceId`] to pin on the
     /// latency bucket as an exemplar.
-    fn traced<T>(
+    pub(crate) fn traced<T>(
         &self,
-        method: &'static str,
+        method: &Method,
         call: impl FnOnce() -> Result<T, ProxyError>,
     ) -> Result<T, ProxyError> {
-        let entry = self.method(method);
-        let now = self.device.now_ms();
-        let mut span = ambient::child(entry.span_name.clone(), self.plane, now)
-            .unwrap_or_else(|| self.tracer.root(entry.span_name.clone(), self.plane, now));
+        let (name, entry) = match self.plane {
+            Plane::Proxy => (method.proxy, Some(&self.methods[method.index])),
+            _ => (method.binding, None),
+        };
+        let now = self.clock.now_ms();
+        let mut span = ambient::child(name, self.plane, now)
+            .unwrap_or_else(|| self.tracer.root(name, self.plane, now));
         span.attr("platform", self.platform.clone());
         let result = call();
-        let end = self.device.now_ms();
+        let end = self.clock.now_ms();
         if let Err(e) = &result {
             span.attr("error", kind_name(e.kind()));
         }
-        if entry.instruments.is_some() {
+        if entry.is_some() {
             if let Some(deadline) = crate::overload::current_deadline() {
                 if end > deadline.expires_at_ms() {
                     span.attr("deadline", "blown");
@@ -296,7 +296,7 @@ impl Instrument {
             }
         }
         span.end(end);
-        if let Some(instruments) = &entry.instruments {
+        if let Some(MethodInstrument { instruments, slo }) = entry {
             instruments.calls.inc();
             if result.is_err() {
                 instruments.errors.inc();
@@ -306,7 +306,7 @@ impl Instrument {
             if let Some(trace_id) = take_promotion(&self.tracer) {
                 instruments.latency.attach_exemplar(latency, trace_id);
             }
-            if let Some(slo) = &entry.slo {
+            if let Some(slo) = slo {
                 slo.record(end, result.is_ok(), latency);
             }
         }
@@ -314,170 +314,60 @@ impl Instrument {
     }
 }
 
-macro_rules! traced_proxy {
-    ($(#[$doc:meta])* $name:ident, $trait:ident, $label:literal,
-     [$($method:literal),+ $(,)?]) => {
-        $(#[$doc])*
-        pub struct $name {
-            inner: Arc<dyn $trait>,
-            instrument: Instrument,
-        }
+/// The span a gating stage (resilience, overload, cache) records around
+/// its work, as a child of the ambient trace. With no trace open it
+/// holds nothing and every method is a no-op, so the untraced path
+/// stays free.
+pub(crate) struct StageSpan(Option<ActiveSpan>);
 
-        impl $name {
-            /// Wraps `inner` at `plane`, timing against `device`'s
-            /// simulated clock and reporting through `runtime`. Span
-            /// names and (proxy-plane) metric handles for every method
-            /// are resolved here, once.
-            pub fn new(
-                inner: Arc<dyn $trait>,
-                device: Device,
-                runtime: &TelemetryRuntime,
-                plane: Plane,
-                platform: &str,
-            ) -> Self {
-                Self {
-                    inner,
-                    instrument: Instrument::new(
-                        device,
-                        runtime,
-                        plane,
-                        $label,
-                        platform,
-                        &[$($method),+],
-                    ),
-                }
+impl StageSpan {
+    /// Opens the compile-time span `name` on `device`'s clock — or
+    /// nothing, without reading the clock, when no trace is open.
+    pub(crate) fn open(name: &'static str, device: &Device) -> Self {
+        if !ambient::is_active() {
+            return Self(None);
+        }
+        Self(ambient::child(name, Plane::Resilience, device.now_ms()))
+    }
+
+    /// Records the point event `name` at `at_ms`.
+    pub(crate) fn event(&mut self, name: &str, at_ms: u64) {
+        if let Some(span) = &mut self.0 {
+            span.event(name, at_ms);
+        }
+    }
+
+    /// Attaches a static annotation.
+    pub(crate) fn attr(&mut self, key: &'static str, value: &'static str) {
+        if let Some(span) = &mut self.0 {
+            span.attr(key, value);
+        }
+    }
+
+    /// The open span, for annotations worth building only when traced.
+    pub(crate) fn traced(&mut self) -> Option<&mut ActiveSpan> {
+        self.0.as_mut()
+    }
+
+    /// Closes the span on `device`'s clock, tagged with the error kind
+    /// when the stage failed.
+    pub(crate) fn close(self, error: Option<&ProxyError>, device: &Device) {
+        if let Some(mut span) = self.0 {
+            if let Some(e) = error {
+                span.attr("error", kind_name(e.kind()));
             }
+            span.end(device.now_ms());
         }
-
-        impl ProxyBase for $name {
-            fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-                // Property writes are local configuration, not platform
-                // calls — forwarded untraced.
-                self.inner.set_property(key, value)
-            }
-        }
-    };
-}
-
-traced_proxy!(
-    /// [`LocationProxy`] decorator recording one span (and, at the
-    /// proxy plane, metrics) per call.
-    TracedLocationProxy,
-    LocationProxy,
-    "Location",
-    [
-        "addProximityAlert",
-        "removeProximityAlert",
-        "getLocation",
-        "getLocationWithPower"
-    ]
-);
-
-impl LocationProxy for TracedLocationProxy {
-    fn add_proximity_alert(
-        &self,
-        latitude: f64,
-        longitude: f64,
-        altitude: f64,
-        radius: f64,
-        timer_s: i64,
-        listener: SharedProximityListener,
-    ) -> Result<(), ProxyError> {
-        self.instrument.traced("addProximityAlert", || {
-            self.inner
-                .add_proximity_alert(latitude, longitude, altitude, radius, timer_s, listener)
-        })
-    }
-
-    fn remove_proximity_alert(
-        &self,
-        listener: &SharedProximityListener,
-    ) -> Result<bool, ProxyError> {
-        self.instrument.traced("removeProximityAlert", || {
-            self.inner.remove_proximity_alert(listener)
-        })
-    }
-
-    fn get_location(&self) -> Result<Location, ProxyError> {
-        self.instrument
-            .traced("getLocation", || self.inner.get_location())
-    }
-
-    fn get_location_with_power(&self) -> Result<(Location, f64), ProxyError> {
-        self.instrument.traced("getLocationWithPower", || {
-            self.inner.get_location_with_power()
-        })
-    }
-}
-
-traced_proxy!(
-    /// [`SmsProxy`] decorator recording one span (and, at the proxy
-    /// plane, metrics) per call.
-    TracedSmsProxy,
-    SmsProxy,
-    "SMS",
-    ["sendTextMessage"]
-);
-
-impl SmsProxy for TracedSmsProxy {
-    fn send_text_message(
-        &self,
-        destination: &str,
-        text: &str,
-        delivery_listener: Option<Arc<dyn DeliveryListener>>,
-    ) -> Result<u64, ProxyError> {
-        self.instrument.traced("sendTextMessage", || {
-            self.inner
-                .send_text_message(destination, text, delivery_listener)
-        })
-    }
-}
-
-traced_proxy!(
-    /// [`HttpProxy`] decorator recording one span (and, at the proxy
-    /// plane, metrics) per call.
-    TracedHttpProxy,
-    HttpProxy,
-    "Http",
-    ["request"]
-);
-
-impl HttpProxy for TracedHttpProxy {
-    fn request(&self, method: &str, url: &str, body: &[u8]) -> Result<HttpResult, ProxyError> {
-        self.instrument
-            .traced("request", || self.inner.request(method, url, body))
-    }
-}
-
-traced_proxy!(
-    /// [`CallProxy`] decorator recording one span (and, at the proxy
-    /// plane, metrics) per call.
-    TracedCallProxy,
-    CallProxy,
-    "Call",
-    ["makeACall", "callProgress", "endCall"]
-);
-
-impl CallProxy for TracedCallProxy {
-    fn make_a_call(&self, number: &str) -> Result<u64, ProxyError> {
-        self.instrument
-            .traced("makeACall", || self.inner.make_a_call(number))
-    }
-
-    fn call_progress(&self, call_id: u64) -> Result<CallProgress, ProxyError> {
-        self.instrument
-            .traced("callProgress", || self.inner.call_progress(call_id))
-    }
-
-    fn end_call(&self, call_id: u64) -> Result<(), ProxyError> {
-        self.instrument
-            .traced("endCall", || self.inner.end_call(call_id))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{HttpProxy, LocationProxy, ProxyBase};
+    use crate::property::PropertyValue;
+    use crate::stack::{Kind, Layers, Stack};
+    use crate::types::{HttpResult, Location, SharedProximityListener};
     use mobivine_telemetry::export::{chrome_trace_json, validate_chrome_trace};
     use mobivine_telemetry::span::validate_tree;
 
@@ -514,6 +404,31 @@ mod tests {
         }
     }
 
+    /// The telemetry stage alone over `inner`: both traced planes.
+    fn traced<P: ?Sized + Kind>(
+        inner: Arc<P>,
+        device: Device,
+        telemetry: &TelemetryRuntime,
+        platform: &str,
+    ) -> Stack<P> {
+        let layers = Layers {
+            telemetry: Some(telemetry.clone()),
+            ..Layers::default()
+        };
+        Stack::new(inner, &layers, &device, platform)
+    }
+
+    /// The proxy plane alone: one span per call.
+    fn proxy_plane<P: ?Sized + Kind>(
+        inner: Arc<P>,
+        device: Device,
+        telemetry: &TelemetryRuntime,
+    ) -> Stack<P> {
+        let mut stack = traced(inner, device, telemetry, "android");
+        stack.binding_trace = None;
+        stack
+    }
+
     fn runtime() -> (Device, TelemetryRuntime) {
         let device = Device::builder().build();
         let telemetry = TelemetryRuntime::new(Arc::clone(device.metrics()));
@@ -523,13 +438,7 @@ mod tests {
     #[test]
     fn proxy_plane_records_span_and_metrics() {
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy = proxy_plane::<dyn LocationProxy>(Arc::new(FixedLocation), device, &telemetry);
         proxy.get_location().unwrap();
         let spans = telemetry.tracer().finished();
         assert_eq!(spans.len(), 1);
@@ -553,13 +462,7 @@ mod tests {
     #[test]
     fn instruments_are_resolved_at_wiring_time() {
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy = proxy_plane::<dyn LocationProxy>(Arc::new(FixedLocation), device, &telemetry);
         // The series exist (at zero) before the first call: resolution
         // happened in `new`, not per call.
         let labels = Labels::call("Location", "getLocation", "android");
@@ -584,14 +487,7 @@ mod tests {
     #[test]
     fn binding_plane_skips_metrics_but_nests_under_proxy_plane() {
         let (device, telemetry) = runtime();
-        let binding: Arc<dyn LocationProxy> = Arc::new(TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device.clone(),
-            &telemetry,
-            Plane::Binding,
-            "s60",
-        ));
-        let proxy = TracedLocationProxy::new(binding, device, &telemetry, Plane::Proxy, "s60");
+        let proxy = traced::<dyn LocationProxy>(Arc::new(FixedLocation), device, &telemetry, "s60");
         proxy.get_location().unwrap();
         let spans = telemetry.tracer().finished();
         assert_eq!(spans.len(), 2);
@@ -626,13 +522,7 @@ mod tests {
             }
         }
         let (device, telemetry) = runtime();
-        let proxy = TracedHttpProxy::new(
-            Arc::new(Failing),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy = proxy_plane::<dyn HttpProxy>(Arc::new(Failing), device, &telemetry);
         assert!(proxy.request("GET", "http://s/x", b"").is_err());
         let labels = Labels::call("Http", "request", "android");
         assert_eq!(
@@ -703,12 +593,10 @@ mod tests {
         }
 
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
+        let proxy = proxy_plane::<dyn LocationProxy>(
             Arc::new(SlowLocation(device.clone())),
             device.clone(),
             &telemetry,
-            Plane::Proxy,
-            "android",
         );
         let deadline = crate::overload::Deadline::after(device.now_ms(), 10);
         crate::overload::with_deadline(deadline, || proxy.get_location().unwrap());
@@ -738,13 +626,8 @@ mod tests {
     #[test]
     fn healthy_calls_within_deadline_are_not_promoted() {
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device.clone(),
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy =
+            proxy_plane::<dyn LocationProxy>(Arc::new(FixedLocation), device.clone(), &telemetry);
         let deadline = crate::overload::Deadline::after(device.now_ms(), 100);
         crate::overload::with_deadline(deadline, || proxy.get_location().unwrap());
         assert!(telemetry.incidents().unwrap().is_empty());
@@ -783,13 +666,8 @@ mod tests {
         ]));
         let telemetry =
             TelemetryRuntime::new(Arc::clone(device.metrics())).with_slo(Arc::clone(&engine));
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device.clone(),
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy =
+            proxy_plane::<dyn LocationProxy>(Arc::new(FixedLocation), device.clone(), &telemetry);
         for _ in 0..5 {
             proxy.get_location().unwrap();
         }
@@ -821,13 +699,7 @@ mod tests {
             }
         }
         let (device, telemetry) = runtime();
-        let proxy = TracedHttpProxy::new(
-            Arc::new(Failing),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy = proxy_plane::<dyn HttpProxy>(Arc::new(Failing), device, &telemetry);
         assert!(proxy.request("GET", "http://s/x", b"").is_err());
         let store = telemetry.incidents().unwrap();
         assert_eq!(store.promoted_total(), 1);
@@ -844,13 +716,7 @@ mod tests {
     #[test]
     fn exported_trace_round_trips() {
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy = proxy_plane::<dyn LocationProxy>(Arc::new(FixedLocation), device, &telemetry);
         proxy.get_location().unwrap();
         let json = chrome_trace_json(&telemetry.tracer().finished());
         validate_chrome_trace(&json).expect("valid chrome trace");

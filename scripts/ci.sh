@@ -136,19 +136,22 @@ if [ -n "$clippy_allows" ]; then
     exit 1
 fi
 
-# The traced hot path must stay allocation-free: label construction in
-# the decorator module is sanctioned only inside CallInstruments::resolve
+# The traced hot path must stay allocation-free: label construction on
+# the proxy stack's per-call path (the stack itself and every stage
+# module it runs) is sanctioned only inside CallInstruments::resolve
 # (which runs once, at wiring time). Any other Labels::call/Labels::new
-# in the non-test portion of telemetry.rs is a per-call allocation
+# in the non-test portion of these files is a per-call allocation
 # sneaking back in. (tests/zero_alloc_telemetry.rs proves the property
 # dynamically; this guard catches it at review time.)
 hot_labels=$(awk '
-    /#\[cfg\(test\)\]/ { exit }
+    /#\[cfg\(test\)\]/ { nextfile }
     /^[[:space:]]*\/\// { next }
     /Labels::(call|new)/ && !/Labels::call\(proxy, method, platform\)/ {
-        print "crates/core/src/telemetry.rs:" FNR ": " $0
+        print FILENAME ":" FNR ": " $0
     }
-' crates/core/src/telemetry.rs)
+' crates/core/src/stack.rs crates/core/src/telemetry.rs \
+  crates/core/src/cache.rs crates/core/src/overload.rs \
+  crates/core/src/journal.rs crates/core/src/resilience.rs)
 if [ -n "$hot_labels" ]; then
     echo "error: label construction on the traced hot path (use the" >&2
     echo "cached CallInstruments handles resolved at wiring time):" >&2
@@ -159,10 +162,12 @@ fi
 # The write-ahead invariant, pinned at review time: no mutating path
 # may apply an effect before its intent is journaled. In the server's
 # durable_mutate, `apply_record` must not appear above the
-# `journal.append` call; in the client decorators (everything below the
-# Decorators banner in core/journal.rs), every `self.inner.…` effect
-# call must be preceded — in the same function — by a journal-engine
-# touch (`self.engine.intent/check/memoized_message`).
+# `journal.append` call. On the client, the proxy stack's journaled
+# stage hands every mutation (SMS send, HTTP submit, setProperty) to
+# the functions under the "Client journal path" banner in
+# core/journal.rs as an `effect` closure; in each of them the
+# `effect()` call must be preceded — in the same function — by the
+# `self.intent(` barrier, and the banner must exist.
 # (tests/journal_recovery.rs and the crash smoke above prove the
 # property dynamically; this guard catches a reordered edit statically.)
 wal_order=$(awk '
@@ -176,14 +181,17 @@ wal_order=$(awk '
 ' crates/apps/src/server.rs)
 wal_order="$wal_order$(awk '
     /^\/\/ -+$/ { banner = 1; next }
-    banner && /^\/\/ Decorators$/ { in_decorators = 1 }
+    banner && /^\/\/ Client journal path$/ { in_path = 1 }
     { banner = 0 }
-    !in_decorators { next }
+    !in_path { next }
     /#\[cfg\(test\)\]/ { exit }
     /fn / { covered = 0 }
-    /self\.engine/ { covered = 1 }
-    /self\.inner\./ && !covered {
+    /self\.intent\(/ { covered = 1 }
+    /effect\(\)/ && !covered {
         print "crates/core/src/journal.rs:" FNR ": effect before intent: " $0
+    }
+    END {
+        if (!in_path) print "crates/core/src/journal.rs: no Client journal path banner"
     }
 ' crates/core/src/journal.rs)"
 if [ -n "$wal_order" ]; then

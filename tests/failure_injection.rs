@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use common::{android_runtime, device, resilient_runtimes_isolated, runtimes};
 use mobivine::api::{CallProxy, HttpProxy, LocationProxy, SmsProxy};
 use mobivine::error::ProxyErrorKind;
-use mobivine::resilience::{CircuitState, ResiliencePolicy};
+use mobivine::resilience::ResiliencePolicy;
 use mobivine::types::DeliveryOutcome;
 use mobivine_device::fault::FaultPlan;
 use mobivine_device::gps::GpsAvailability;
@@ -613,26 +613,34 @@ fn coverage_outage_mid_call_is_ridden_out_where_calls_exist() {
 
 #[test]
 fn circuit_state_is_visible_through_the_decorator() {
-    // Direct decorator-level visibility check (registry returns trait
-    // objects, so this uses the concrete wrapper).
+    // The breaker's Closed → Open → Closed walk, read through the public
+    // surface of a runtime built with `with_resilience`: call outcomes
+    // and the runtime's shared resilience counters.
     let device = device();
     device.network().set_down(true);
-    let runtime = android_runtime(&device);
-    let inner = runtime.proxy::<dyn HttpProxy>().unwrap();
-    let resilient = mobivine::resilience::ResilientHttpProxy::new(
-        inner,
-        device.clone(),
+    let runtime = android_runtime(&device).with_resilience(
         ResiliencePolicy::default()
             .max_attempts(1)
             .circuit_threshold(2)
             .circuit_cooldown_ms(1_000),
-        mobivine::resilience::ResilienceMetrics::shared(),
     );
-    use mobivine::api::HttpProxy;
-    assert_eq!(resilient.circuit_state(), CircuitState::Closed);
-    let _ = resilient.request("GET", "http://wfm.example/", &[]);
-    let _ = resilient.request("GET", "http://wfm.example/", &[]);
-    assert_eq!(resilient.circuit_state(), CircuitState::Open);
+    let metrics = runtime.resilience_metrics().expect("resilience installed");
+    let http = runtime.proxy::<dyn HttpProxy>().unwrap();
+
+    // Closed: both failures reach the platform; the second opens it.
+    for _ in 0..2 {
+        let err = http.request("GET", "http://wfm.example/", &[]).unwrap_err();
+        assert_ne!(err.kind(), ProxyErrorKind::CircuitOpen);
+    }
+    let snap = metrics.snapshot();
+    assert_eq!((snap.attempts, snap.circuit_opens), (2, 1));
+
+    // Open: the next call is rejected without reaching the platform.
+    let err = http.request("GET", "http://wfm.example/", &[]).unwrap_err();
+    assert_eq!(err.kind(), ProxyErrorKind::CircuitOpen);
+    let snap = metrics.snapshot();
+    assert_eq!((snap.attempts, snap.circuit_rejections), (2, 1));
+
     device.network().set_down(false);
     device.advance_ms(1_100);
     // The next admission flips to half-open and the success closes it.
@@ -642,8 +650,14 @@ fn circuit_state_is_visible_through_the_decorator() {
         "/",
         |_| mobivine_device::net::HttpResponse::ok("up"),
     );
-    resilient
-        .request("GET", "http://wfm.example/", &[])
-        .unwrap();
-    assert_eq!(resilient.circuit_state(), CircuitState::Closed);
+    http.request("GET", "http://wfm.example/", &[]).unwrap();
+
+    // Closed again: a failure below the threshold reaches the platform
+    // and neither opens the circuit nor is rejected.
+    device.network().set_down(true);
+    let err = http.request("GET", "http://wfm.example/", &[]).unwrap_err();
+    assert_ne!(err.kind(), ProxyErrorKind::CircuitOpen);
+    let snap = metrics.snapshot();
+    assert_eq!((snap.attempts, snap.successes), (4, 1));
+    assert_eq!((snap.circuit_opens, snap.circuit_rejections), (1, 1));
 }

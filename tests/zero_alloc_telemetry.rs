@@ -25,13 +25,21 @@
 //!   arguments and encodes the reply as offset views into the same
 //!   arenas. So the WebView pin is the same as android/s60: exactly
 //!   zero allocations per warmed traced `getLocation`.
+//!
+//! One more input pins the gated stack (telemetry + resilience +
+//! overload) on Android and S60 at its exact count: 4 allocations per
+//! warmed call, all of them the two span events the resilience and
+//! overload stages record (`SpanEvent` owns its name). The stages'
+//! span names are compile-time strings and cost nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use mobivine::api::LocationProxy;
-use mobivine::registry::Mobivine;
+use mobivine::overload::OverloadPolicy;
+use mobivine::registry::{Mobivine, MobivineBuilder};
+use mobivine::resilience::ResiliencePolicy;
 use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::Device;
 use mobivine_s60::S60Platform;
@@ -132,5 +140,37 @@ fn traced_get_location_allocates_nothing_after_warmup() {
          ({webview_allocs} allocations over {MEASURED_CALLS} calls): the \
          scratch WireBuf pair, stack traceparent and static span names \
          make the bridge crossing itself allocation-free"
+    );
+    // --- The gated stack: telemetry + resilience + overload --------
+    // The resilience and overload stages open one span each per call
+    // under their compile-time names; what still allocates is the two
+    // point events those spans record ("attempt", "admitted"), whose
+    // names `SpanEvent` stores as owned strings.
+    let gated = |builder: MobivineBuilder| {
+        let runtime = builder
+            .with_telemetry()
+            .with_resilience(ResiliencePolicy::default())
+            .with_overload(OverloadPolicy::default())
+            .build()
+            .expect("runtime builds");
+        let proxy = runtime
+            .proxy::<dyn LocationProxy>()
+            .expect("Location is supported");
+        measure(&proxy, WARMUP_CALLS);
+        measure(&proxy, MEASURED_CALLS)
+    };
+    let android = AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15);
+    let gated_android_allocs = gated(Mobivine::builder().android(android.new_context()));
+    assert_eq!(
+        gated_android_allocs, 200,
+        "gated android getLocation: 4 allocations per warmed call expected \
+         ({gated_android_allocs} over {MEASURED_CALLS} calls)"
+    );
+    let gated_s60_allocs =
+        gated(Mobivine::builder().s60(S60Platform::new(Device::builder().build())));
+    assert_eq!(
+        gated_s60_allocs, 200,
+        "gated s60 getLocation: 4 allocations per warmed call expected \
+         ({gated_s60_allocs} over {MEASURED_CALLS} calls)"
     );
 }
